@@ -5,8 +5,9 @@
 //! * **warm CPU-bound** (Figure 5 regime): a wide integer table whose chunks
 //!   are fully resident in the binary cache after a warm-up scan, queried
 //!   with a filter plus a fat aggregate list. Delivery is nearly free, so
-//!   the run measures consumer-side evaluation — serial row-at-a-time
-//!   folding against the chunk-parallel columnar kernels.
+//!   the run measures consumer-side evaluation — the columnar kernels run
+//!   inline on the querying thread against the same kernels fanned out
+//!   chunk-parallel over the worker pool.
 //! * **cold first scan** (Figure 4 regime): a fresh file converted on the
 //!   fly, where TOKENIZE/PARSE shares the worker pool with EXEC and the
 //!   question is whether overlapping execution with conversion pays off.

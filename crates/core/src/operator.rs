@@ -25,7 +25,7 @@ use scanraw_rawfile::{parse_chunk_projected, tokenize_chunk_selective, TextDiale
 use scanraw_storage::Database;
 use scanraw_types::{
     BinaryChunk, ChunkId, ChunkMeta, Error, PositionalMap, RangePredicate, Result, ScanRawConfig,
-    Schema, TextChunk, Value, WritePolicy,
+    Schema, TextChunk, WritePolicy,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,12 +39,13 @@ use std::time::Duration;
 pub struct PushdownFilter {
     /// Columns the predicate needs.
     pub columns: Vec<usize>,
-    /// Row predicate over the values of `columns`, in order.
-    pub predicate: RowPredicateFn,
+    /// Per-chunk selection over a mini-batch holding `columns` for every
+    /// row of the chunk: returns the qualifying row indices, ascending.
+    pub select: SelectFn,
 }
 
-/// Shared row predicate: receives the pushed-down columns' values, in order.
-pub type RowPredicateFn = Arc<dyn Fn(&[Value]) -> bool + Send + Sync>;
+/// Shared per-chunk selection callback (see [`PushdownFilter::select`]).
+pub type SelectFn = Arc<dyn Fn(&BinaryChunk) -> Vec<u32> + Send + Sync>;
 
 impl std::fmt::Debug for PushdownFilter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -815,8 +816,14 @@ impl ScanRaw {
                 }
                 None => {
                     // Raced out of the cache since planning; fall back to the
-                    // database or raw file.
-                    if let Ok(chunk) = self.retry_load_from_db(meta, &params.convert_cols) {
+                    // database when it holds every converted column (planning
+                    // never checked the catalog for this chunk), else to the
+                    // raw file.
+                    if let Some(chunk) = self
+                        .retry_load_from_db(meta, &params.convert_cols)
+                        .ok()
+                        .filter(|c| c.covers(&params.convert_cols))
+                    {
                         counters.from_db.fetch_add(1, Ordering::Release);
                         if out.send(Ok(Arc::new(chunk))).is_err() {
                             // relaxed-ok: advisory stop flag — readers need eventual visibility only
@@ -1246,7 +1253,7 @@ impl ScanRaw {
             Some(pd) => {
                 let filter = RowFilter {
                     columns: &pd.columns,
-                    predicate: &*pd.predicate,
+                    select: &*pd.select,
                 };
                 (
                     parse_chunk_filtered(

@@ -147,7 +147,7 @@ fn pushdown_rejected_when_hybrid_enabled() {
     let (op, _) = partially_loaded(true);
     let req = ScanRequest::projected(vec![0, 2]).with_pushdown(scanraw::PushdownFilter {
         columns: vec![0],
-        predicate: Arc::new(|_| true),
+        select: Arc::new(|batch| (0..batch.rows).collect()),
     });
     assert!(op.scan(req).is_err());
 }

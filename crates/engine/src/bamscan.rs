@@ -4,16 +4,16 @@
 //! we use BAMTools to extract the tuples from binary and implement only MAP
 //! in ScanRaw". Records come out of [`BamReader`] one at a time — sequential
 //! I/O and sequential decompression in the calling thread — and MAP batches
-//! them into columnar [`BinaryChunk`]s that feed the same aggregation logic
-//! the text path uses. There is deliberately no pipeline parallelism here;
-//! that is the point of the comparison.
+//! them into columnar [`BinaryChunk`]s that fold through the same columnar
+//! kernels (`AggState`) the text path uses. There is deliberately no
+//! pipeline parallelism here; that is the point of the comparison.
 
-use crate::executor::GroupedAggregator;
+use crate::parallel::{AggSpec, AggState};
 use crate::query::{Query, QueryResult};
 use scanraw_rawfile::bamsim::BamReader;
 use scanraw_rawfile::sam::{sam_schema, SamRead};
 use scanraw_simio::SimDisk;
-use scanraw_types::{BinaryChunk, ChunkId, ColumnData, Error, Result};
+use scanraw_types::{BinaryChunk, ChunkId, ColumnData, Result};
 
 /// Rows per MAP batch.
 pub const MAP_BATCH: usize = 16 * 1024;
@@ -70,32 +70,21 @@ pub fn map_reads(batch: &[SamRead], id: ChunkId, first_row: u64) -> BinaryChunk 
 /// The query's `table` field is ignored; column indices refer to the SAM
 /// schema ([`sam_schema`]).
 pub fn execute_over_bam(disk: &SimDisk, file: &str, query: &Query) -> Result<QueryResult> {
-    if query.aggregates.is_empty() {
-        return Err(Error::query("query needs at least one aggregate"));
-    }
-    // Validate column references early against the SAM schema.
-    let n_cols = sam_schema().len();
-    if let Some(&max) = query.required_columns().last() {
-        if max >= n_cols {
-            return Err(Error::query(format!(
-                "column {max} out of range for SAM schema of {n_cols}"
-            )));
-        }
-    }
+    query.validate(sam_schema().len())?;
     let clock = disk.clock().clone();
     let started = clock.now();
     let mut reader = BamReader::open(disk.clone(), file)?;
-    let mut agg = GroupedAggregator::new(&query.group_by, &query.aggregates);
+    let mut agg = AggState::new(AggSpec::of(query));
     let mut batch: Vec<SamRead> = Vec::with_capacity(MAP_BATCH);
     let mut chunk_no = 0u32;
     let mut first_row = 0u64;
     let flush = |batch: &mut Vec<SamRead>,
                  chunk_no: &mut u32,
                  first_row: &mut u64,
-                 agg: &mut GroupedAggregator<'_>|
+                 agg: &mut AggState|
      -> Result<()> {
         let chunk = map_reads(batch, ChunkId(*chunk_no), *first_row);
-        agg.consume(&chunk, query.filter.as_ref())?;
+        agg.consume_chunk(&chunk)?;
         *first_row += batch.len() as u64;
         *chunk_no += 1;
         batch.clear();
@@ -117,7 +106,7 @@ pub fn execute_over_bam(disk: &SimDisk, file: &str, query: &Query) -> Result<Que
             }
         }
     }
-    let rows_scanned = agg.rows_seen();
+    let rows_scanned = agg.rows_seen;
     let rows = agg.finish()?;
     Ok(QueryResult {
         rows,

@@ -1,9 +1,6 @@
 //! The engine: plans scans over ScanRaw operators and folds aggregates.
 
-use crate::aggregate::{Accumulator, AggExpr};
-use crate::expr::Col;
-use crate::parallel::{AggSpec, AggState};
-use crate::predicate::Predicate;
+use crate::parallel::{pushdown_rows, AggSpec, AggState};
 use crate::query::{Query, QueryResult, ResultRow};
 use parking_lot::Mutex;
 use scanraw::{
@@ -13,20 +10,20 @@ use scanraw_obs::trace::worker_label;
 use scanraw_obs::{json, HistogramSnapshot, JournalEntry, ObsEvent, QueryTrace, TraceId};
 use scanraw_rawfile::TextDialect;
 use scanraw_storage::{Database, RecoveryReport};
-use scanraw_types::{BinaryChunk, Error, RangePredicate, Result, ScanRawConfig, Schema, Value};
+use scanraw_types::{BinaryChunk, Error, RangePredicate, Result, ScanRawConfig, Schema};
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// How the engine folds delivered chunks into query results.
+/// Where the engine folds delivered chunks. Both modes run the same
+/// columnar kernels — one partial `AggState` per chunk, merged in
+/// ascending chunk order — so they differ in parallelism alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Row-at-a-time fold on the calling thread (the reference
-    /// implementation; also the oracle for the differential tests).
+    /// Each chunk's task runs inline on the calling thread.
     Serial,
-    /// Chunk-parallel columnar execution: delivered chunks are partitioned
-    /// back onto the operator's TOKENIZE/PARSE worker pool, each producing a
-    /// partial [`AggState`] that the engine merges in ascending chunk order.
+    /// Each chunk's task is submitted to the operator's TOKENIZE/PARSE
+    /// worker pool (inline when the scan runs without a pool).
     #[default]
     Parallel,
 }
@@ -191,7 +188,7 @@ pub struct Engine {
     /// Convert scope applied to scans (paper default: all columns).
     /// Interior-mutable so one engine can be tuned and shared behind `Arc`.
     convert_scope: Mutex<ConvertScope>,
-    /// Chunk fold strategy; [`ExecMode::Parallel`] by default.
+    /// Where chunks are folded; [`ExecMode::Parallel`] by default.
     exec_mode: Mutex<ExecMode>,
     /// Table and trace id of the most recently completed traced query.
     last_trace: Mutex<Option<(String, TraceId)>>,
@@ -210,14 +207,14 @@ impl Engine {
         }
     }
 
-    /// The current chunk-fold strategy. Each query samples it once at entry,
+    /// Where queries fold their chunks. Each query samples it once at entry,
     /// so a concurrent [`Engine::set_exec_mode`] never splits one query
-    /// across strategies.
+    /// across modes.
     pub fn exec_mode(&self) -> ExecMode {
         *self.exec_mode.lock()
     }
 
-    /// Switches the chunk-fold strategy for queries that start from now on.
+    /// Switches where queries that start from now on fold their chunks.
     pub fn set_exec_mode(&self, mode: ExecMode) {
         *self.exec_mode.lock() = mode;
     }
@@ -422,15 +419,6 @@ impl Engine {
             .outcomes)
     }
 
-    /// [`Engine::execute_shared`], additionally returning the traces the
-    /// batch minted: the carrier trace holding the shared scan/exec/merge
-    /// spans, and one trace per query whose root `query` span covers that
-    /// query from pipeline attach to its fold completing. All `None` when
-    /// tracing is disabled on the operator's recorder.
-    pub fn execute_shared_traced(&self, queries: &[Query]) -> Result<SharedOutcome> {
-        self.execute_shared_inner(queries, None, None, None)
-    }
-
     /// Shared execution on behalf of the serving layer: per-query root spans
     /// are tagged with the submitting tenant ids and the serving batch
     /// label. `tenants` must be parallel to `queries`.
@@ -553,43 +541,18 @@ impl Engine {
         // the shared stream here) to each query's own fold completing — not
         // from the engine-side planning that preceded the scan.
         let attached = clock.now();
-        let outcomes: Vec<(Vec<ResultRow>, u64, Duration)> = match mode {
-            ExecMode::Serial => {
-                let mut aggs: Vec<GroupedAggregator<'_>> = queries
-                    .iter()
-                    .map(|q| GroupedAggregator::new(&q.group_by, &q.aggregates))
-                    .collect();
-                while let Some(chunk) = stream.next_chunk() {
-                    for (agg, q) in aggs.iter_mut().zip(queries) {
-                        agg.consume(&chunk, q.filter.as_ref())?;
-                    }
-                }
-                aggs.into_iter()
-                    .enumerate()
-                    .map(|(i, agg)| {
-                        let rows_scanned = agg.rows_seen();
-                        let rows = agg.finish()?;
-                        finish_root(i);
-                        Ok((rows, rows_scanned, clock.now().saturating_sub(attached)))
-                    })
-                    .collect::<Result<_>>()?
-            }
-            ExecMode::Parallel => {
-                let specs: Vec<Arc<AggSpec>> = queries.iter().map(spec_of).collect();
-                let states =
-                    self.run_parallel(&op, &mut stream, &specs, range.as_ref(), &first.table)?;
-                states
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, state)| {
-                        let rows_scanned = state.rows_seen;
-                        let rows = state.finish()?;
-                        finish_root(i);
-                        Ok((rows, rows_scanned, clock.now().saturating_sub(attached)))
-                    })
-                    .collect::<Result<_>>()?
-            }
-        };
+        let specs: Vec<Arc<AggSpec>> = queries.iter().map(AggSpec::of).collect();
+        let states = self.fold_chunks(&op, &mut stream, &specs, range.as_ref(), mode)?;
+        let outcomes: Vec<(Vec<ResultRow>, u64, Duration)> = states
+            .into_iter()
+            .enumerate()
+            .map(|(i, state)| {
+                let rows_scanned = state.rows_seen;
+                let rows = state.finish()?;
+                finish_root(i);
+                Ok((rows, rows_scanned, clock.now().saturating_sub(attached)))
+            })
+            .collect::<Result<_>>()?;
         let scan = stream.finish()?;
         if let Some(guard) = trace_guard {
             self.end_trace(&op, &first.table, guard);
@@ -733,11 +696,11 @@ impl Engine {
 
     /// Runs an aggregate query.
     ///
-    /// Under [`ExecMode::Parallel`] (the default) delivered chunks are
-    /// evaluated on the operator's worker pool with a columnar inner loop
-    /// and the partial aggregates merged in ascending chunk order, so
-    /// results are identical to — and bit-for-bit as deterministic as — the
-    /// serial fold.
+    /// Delivered chunks are evaluated with the columnar kernels, one partial
+    /// aggregate per chunk, merged in ascending chunk order — on the
+    /// operator's worker pool under [`ExecMode::Parallel`] (the default),
+    /// inline under [`ExecMode::Serial`]. Both modes give bit-for-bit the
+    /// same result.
     pub fn execute(&self, query: &Query) -> Result<QueryOutcome> {
         Ok(self.execute_inner(query, None, None)?.0)
     }
@@ -793,43 +756,23 @@ impl Engine {
         if let Some(f) = &query.filter {
             request.skip_predicate = f.extract_range();
             if query.pushdown {
-                let cols = f.columns();
                 let pred = f.clone();
-                let cols2 = cols.clone();
                 request.pushdown = Some(Arc::new(scanraw::operator::PushdownFilter {
-                    columns: cols,
-                    predicate: Arc::new(move |values: &[Value]| {
-                        // An eval error must not drop the row down here: keep
-                        // it, so the exact post-scan filter re-evaluates and
-                        // surfaces the error instead of silently diverging
-                        // from the non-pushdown plan.
-                        // lint-ok: L017 Err keeps the row; the post-scan filter surfaces it
-                        pred.eval_values(&cols2, values).unwrap_or(true)
-                    }),
+                    columns: f.columns(),
+                    select: Arc::new(move |batch: &BinaryChunk| pushdown_rows(&pred, batch)),
                 }));
             }
         }
         let range = request.skip_predicate.clone();
 
         let mut stream = op.scan(request)?;
-        let (rows, rows_scanned) = match mode {
-            ExecMode::Serial => {
-                let mut agg = GroupedAggregator::new(&query.group_by, &query.aggregates);
-                while let Some(chunk) = stream.next_chunk() {
-                    agg.consume(&chunk, query.filter.as_ref())?;
-                }
-                let rows_scanned = agg.rows_seen();
-                (agg.finish()?, rows_scanned)
-            }
-            ExecMode::Parallel => {
-                let specs = vec![spec_of(query)];
-                let mut states =
-                    self.run_parallel(&op, &mut stream, &specs, range.as_ref(), &query.table)?;
-                let state = states.pop().expect("one state per spec");
-                let rows_scanned = state.rows_seen;
-                (state.finish()?, rows_scanned)
-            }
-        };
+        let specs = [AggSpec::of(query)];
+        let state = self
+            .fold_chunks(&op, &mut stream, &specs, range.as_ref(), mode)?
+            .pop()
+            .expect("one state per spec");
+        let rows_scanned = state.rows_seen;
+        let rows = state.finish()?;
         let scan = stream.finish()?;
         let trace_id = trace_guard.as_ref().map(|g| g.ctx().trace);
         if let Some(guard) = trace_guard {
@@ -849,26 +792,31 @@ impl Engine {
         ))
     }
 
-    /// Fans the delivered chunks of `stream` out to the operator's worker
-    /// pool — one [`ExecTask`] per chunk, each producing one partial
-    /// [`AggState`] per spec — then collects and merges the partials in
-    /// ascending chunk order (deterministic float accumulation). Falls back
-    /// to inline execution when the scan runs without a pool (`workers = 0`)
-    /// or a worker rejects the task during teardown.
+    /// Folds the delivered chunks of `stream` through the columnar kernels:
+    /// one [`ExecTask`] per chunk, each producing one partial [`AggState`]
+    /// per spec, then merges the partials in ascending chunk order
+    /// (deterministic float accumulation). Under [`ExecMode::Parallel`] the
+    /// tasks go to the operator's worker pool; they run inline on the
+    /// calling thread under [`ExecMode::Serial`], when the scan runs without
+    /// a pool (`workers = 0`), or when a worker rejects the task during
+    /// teardown.
     ///
     /// Also the second chance for min/max chunk skipping: chunks whose
     /// statistics only materialized *during* this scan (first conversion)
     /// are dropped here before any evaluation, counted in
     /// `scanraw.exec.skipped_chunks`.
-    fn run_parallel(
+    fn fold_chunks(
         &self,
         op: &Arc<ScanRaw>,
         stream: &mut ChunkStream,
         specs: &[Arc<AggSpec>],
         range: Option<&RangePredicate>,
-        table: &str,
+        mode: ExecMode,
     ) -> Result<Vec<AggState>> {
-        let handle = stream.exec_handle();
+        let handle = match mode {
+            ExecMode::Parallel => stream.exec_handle(),
+            ExecMode::Serial => None,
+        };
         // When the query is traced the root span is the engine thread's
         // current context; exec tasks run on pool workers, so the context is
         // captured here and passed into each closure explicitly.
@@ -876,12 +824,9 @@ impl Engine {
         let recorder = op.obs().trace.clone();
         let parallel_ctr = op.obs().metrics.counter("scanraw.exec.parallel_chunks");
         let skipped_ctr = op.obs().metrics.counter("scanraw.exec.skipped_chunks");
-        let skip_enabled = {
-            let tables = self.tables.lock();
-            tables.get(table).is_some_and(|d| d.config.chunk_skipping)
-        };
+        let table = op.table();
         let entry = match range {
-            Some(_) if skip_enabled => Some(op.database().catalog().table(table)?),
+            Some(_) if op.config().chunk_skipping => Some(op.database().catalog().table(table)?),
             _ => None,
         };
 
@@ -954,95 +899,5 @@ impl Engine {
             }
         }
         Ok(merged)
-    }
-}
-
-/// Snapshot of a query's aggregation shape, shareable with worker tasks.
-fn spec_of(q: &Query) -> Arc<AggSpec> {
-    Arc::new(AggSpec {
-        group_by: q.group_by.iter().map(|c| c.index()).collect(),
-        aggregates: q.aggregates.clone(),
-        filter: q.filter.clone(),
-    })
-}
-
-/// Shared grouped-aggregation fold, also used by the BAM path.
-pub(crate) struct GroupedAggregator<'a> {
-    group_by: &'a [Col],
-    aggs: &'a [AggExpr],
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
-    rows_seen: u64,
-}
-
-impl<'a> GroupedAggregator<'a> {
-    pub(crate) fn new(group_by: &'a [Col], aggs: &'a [AggExpr]) -> Self {
-        GroupedAggregator {
-            group_by,
-            aggs,
-            groups: HashMap::new(),
-            rows_seen: 0,
-        }
-    }
-
-    pub(crate) fn consume(
-        &mut self,
-        chunk: &BinaryChunk,
-        filter: Option<&Predicate>,
-    ) -> Result<()> {
-        for row in 0..chunk.rows as usize {
-            if let Some(f) = filter {
-                if !f.eval(chunk, row)? {
-                    continue;
-                }
-            }
-            self.rows_seen += 1;
-            let key: Vec<Value> = self
-                .group_by
-                .iter()
-                .map(|&c| {
-                    let c = c.index();
-                    chunk
-                        .column(c)
-                        .ok_or_else(|| Error::query(format!("group column {c} absent")))?
-                        .value(row)
-                        .ok_or_else(|| Error::query("row out of range"))
-                })
-                .collect::<Result<_>>()?;
-            let accs = self
-                .groups
-                .entry(key)
-                .or_insert_with(|| self.aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-            for (acc, a) in accs.iter_mut().zip(self.aggs) {
-                acc.update(a.expr.eval(chunk, row)?)?;
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn rows_seen(&self) -> u64 {
-        self.rows_seen
-    }
-
-    pub(crate) fn finish(mut self) -> Result<Vec<ResultRow>> {
-        // An aggregate without GROUP BY returns one row even on empty input.
-        if self.group_by.is_empty() && self.groups.is_empty() {
-            self.groups.insert(
-                Vec::new(),
-                self.aggs.iter().map(|a| Accumulator::new(a.func)).collect(),
-            );
-        }
-        let mut rows: Vec<ResultRow> = self
-            .groups
-            .into_iter()
-            .map(|(keys, accs)| {
-                let aggregates = accs
-                    .into_iter()
-                    .map(|a| a.finish())
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(ResultRow { keys, aggregates })
-            })
-            .collect::<Result<_>>()?;
-        rows.sort_by(|a, b| a.keys.cmp(&b.keys));
-        Ok(rows)
     }
 }

@@ -1,6 +1,7 @@
-//! Scalar expressions evaluated over binary-chunk rows.
+//! Scalar expressions over table columns, evaluated by the columnar kernels
+//! in `parallel`.
 
-use scanraw_types::{BinaryChunk, Error, Result, Value};
+use scanraw_types::Value;
 use std::fmt;
 
 /// Typed zero-based column index.
@@ -79,86 +80,14 @@ impl Expr {
             }
         }
     }
-
-    /// Evaluates the expression against a bag of column values (used by
-    /// push-down selection, where only the predicate columns are parsed).
-    /// `cols[i]` names the column whose value is `values[i]`.
-    pub fn eval_values(&self, cols: &[usize], values: &[Value]) -> Result<Value> {
-        match self {
-            Expr::Column(c) => cols
-                .iter()
-                .position(|&x| x == c.index())
-                .map(|i| values[i].clone())
-                .ok_or_else(|| Error::query(format!("column {c} not bound"))),
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Add(a, b) => numeric(
-                a.eval_values(cols, values)?,
-                b.eval_values(cols, values)?,
-                "+",
-                |x, y| x + y,
-            ),
-            Expr::Sub(a, b) => numeric(
-                a.eval_values(cols, values)?,
-                b.eval_values(cols, values)?,
-                "-",
-                |x, y| x - y,
-            ),
-            Expr::Mul(a, b) => numeric(
-                a.eval_values(cols, values)?,
-                b.eval_values(cols, values)?,
-                "*",
-                |x, y| x * y,
-            ),
-        }
-    }
-
-    /// Evaluates the expression for one row of a chunk.
-    pub fn eval(&self, chunk: &BinaryChunk, row: usize) -> Result<Value> {
-        match self {
-            Expr::Column(c) => chunk
-                .column(c.index())
-                .ok_or_else(|| Error::query(format!("column {c} absent from chunk")))?
-                .value(row)
-                .ok_or_else(|| Error::query(format!("row {row} out of range"))),
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Add(a, b) => numeric(a.eval(chunk, row)?, b.eval(chunk, row)?, "+", |x, y| x + y),
-            Expr::Sub(a, b) => numeric(a.eval(chunk, row)?, b.eval(chunk, row)?, "-", |x, y| x - y),
-            Expr::Mul(a, b) => numeric(a.eval(chunk, row)?, b.eval(chunk, row)?, "*", |x, y| x * y),
-        }
-    }
-}
-
-/// Applies an arithmetic op, keeping integers integral when both sides are.
-/// Shared with the columnar kernels so serial and parallel execution agree
-/// on overflow and promotion semantics exactly.
-pub(crate) fn numeric(a: Value, b: Value, op: &str, f: fn(f64, f64) -> f64) -> Result<Value> {
-    match (&a, &b) {
-        (Value::Int(x), Value::Int(y)) => {
-            let r = match op {
-                "+" => x.checked_add(*y),
-                "-" => x.checked_sub(*y),
-                "*" => x.checked_mul(*y),
-                _ => None,
-            };
-            r.map(Value::Int)
-                .ok_or_else(|| Error::query(format!("integer overflow in {op}")))
-        }
-        _ => {
-            let (x, y) = (
-                a.as_f64()
-                    .ok_or_else(|| Error::query(format!("non-numeric operand to {op}")))?,
-                b.as_f64()
-                    .ok_or_else(|| Error::query(format!("non-numeric operand to {op}")))?,
-            );
-            Ok(Value::Float(f(x, y)))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanraw_types::{ChunkId, ColumnData};
+    use crate::parallel::tests::columnar_values;
+    use crate::reference;
+    use scanraw_types::{BinaryChunk, ChunkId, ColumnData};
 
     fn chunk() -> BinaryChunk {
         BinaryChunk {
@@ -173,34 +102,49 @@ mod tests {
         }
     }
 
+    /// `expr` on every row of `c`, asserting the columnar kernel and the
+    /// reference evaluator agree (on the values, or on failing).
+    fn eval(expr: &Expr, c: &BinaryChunk) -> Option<Vec<Value>> {
+        let oracle: Option<Vec<Value>> = reference::chunk_rows(c)
+            .iter()
+            .map(|row| reference::eval_expr(expr, row).ok())
+            .collect();
+        let columnar = columnar_values(expr, c).ok();
+        assert_eq!(
+            columnar, oracle,
+            "columnar and reference disagree on {expr:?}"
+        );
+        columnar
+    }
+
     #[test]
     fn column_and_literal() {
         let c = chunk();
-        assert_eq!(Expr::col(0).eval(&c, 1).unwrap(), Value::Int(20));
-        assert_eq!(Expr::lit(7i64).eval(&c, 0).unwrap(), Value::Int(7));
+        assert_eq!(eval(&Expr::col(0), &c).unwrap()[1], Value::Int(20));
+        assert_eq!(eval(&Expr::lit(7i64), &c).unwrap()[0], Value::Int(7));
     }
 
     #[test]
     fn arithmetic_int() {
         let c = chunk();
         let e = Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(1)));
-        assert_eq!(e.eval(&c, 0).unwrap(), Value::Int(11));
+        assert_eq!(eval(&e, &c).unwrap()[0], Value::Int(11));
         let e = Expr::Mul(Box::new(Expr::col(0)), Box::new(Expr::lit(3i64)));
-        assert_eq!(e.eval(&c, 1).unwrap(), Value::Int(60));
+        assert_eq!(eval(&e, &c).unwrap()[1], Value::Int(60));
     }
 
     #[test]
     fn arithmetic_mixed_promotes_to_float() {
         let c = chunk();
         let e = Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(2)));
-        assert_eq!(e.eval(&c, 0).unwrap(), Value::Float(10.5));
+        assert_eq!(eval(&e, &c).unwrap()[0], Value::Float(10.5));
     }
 
     #[test]
     fn sum_of_columns_builder() {
         let c = chunk();
         let e = Expr::sum_of_columns([0, 1]);
-        assert_eq!(e.eval(&c, 1).unwrap(), Value::Int(22));
+        assert_eq!(eval(&e, &c).unwrap()[1], Value::Int(22));
         assert_eq!(e.columns(), vec![0, 1]);
     }
 
@@ -222,12 +166,12 @@ mod tests {
             columns: vec![Some(ColumnData::Int64(vec![i64::MAX]))],
         };
         let e = Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::lit(1i64)));
-        assert!(e.eval(&c, 0).is_err());
+        assert!(eval(&e, &c).is_none());
     }
 
     #[test]
     fn missing_column_is_query_error() {
         let c = chunk();
-        assert!(Expr::col(9).eval(&c, 0).is_err());
+        assert!(eval(&Expr::col(9), &c).is_none());
     }
 }

@@ -14,10 +14,12 @@
 //! * [`query`] — the query description and result types;
 //! * [`executor`] — the low-level [`executor::Engine`]: plans the scan
 //!   (projection, convert scope, skip predicate), pulls chunks from ScanRaw,
-//!   filters, and folds aggregates — serially or chunk-parallel on the
+//!   and folds each through the columnar kernels — inline or on the
 //!   operator's worker pool ([`executor::ExecMode`]);
 //! * `parallel` — the columnar kernels and mergeable partial-aggregate
-//!   state behind parallel execution (crate-internal);
+//!   state: the engine's only evaluator (crate-internal);
+//! * [`reference`](mod@reference) — the row-wise reference evaluator and grouped fold, the
+//!   test oracle for the columnar kernels (no query path uses it);
 //! * [`session`] — the [`Session`] facade: the high-level entry point
 //!   wrapping engine construction, registration, execution, and recovery;
 //! * [`serve`] — the multi-tenant serving layer over one `Arc<Session>`:
@@ -36,6 +38,7 @@ pub mod expr;
 mod parallel;
 pub mod predicate;
 pub mod query;
+pub mod reference;
 pub mod serve;
 pub mod session;
 

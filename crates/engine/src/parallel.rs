@@ -1,26 +1,27 @@
-//! Chunk-parallel consumer execution: columnar predicate evaluation and
-//! partial aggregation, mergeable across chunks.
+//! The engine's evaluator: columnar predicate evaluation and partial
+//! aggregation, mergeable across chunks.
 //!
-//! The conversion side of ScanRaw is super-scalar (TOKENIZE/PARSE worker
-//! pool), but a serial per-row fold in the engine caps end-to-end throughput
-//! on CPU-bound queries. This module partitions *delivered* chunks back onto
-//! the same worker pool: each chunk is evaluated with a columnar inner loop
-//! (column slices, not `eval(chunk, row)` per cell) into an [`AggState`]
-//! partial, and the executor merges partials deterministically in ascending
-//! chunk order via [`AggState::merge`].
+//! Every query path folds through these kernels — single queries, shared
+//! scans, push-down selection during PARSE, and the BAM path. Each chunk is
+//! evaluated with a columnar inner loop (column slices and selection
+//! vectors, not one `Value` per cell) into an [`AggState`] partial, and the
+//! executor merges partials deterministically in ascending chunk order via
+//! [`AggState::merge`]. Whether a chunk's partial is computed on the
+//! operator's worker pool or inline on the calling thread is the executor's
+//! choice ([`crate::ExecMode`]); the kernel is the same.
 //!
-//! Semantics parity with the serial fold is load-bearing: the kernels here
-//! reproduce the row-wise `Expr::eval`/`Predicate::eval` behaviour exactly —
-//! checked integer arithmetic with promotion to float on overflow, mixed
-//! int/float promotion, type-tag-ordered cross-type comparisons (matching
-//! `Value`'s `Ord`), `And`/`Or` short-circuiting (the right side is only
-//! evaluated for rows the left side did not decide), and identical error
-//! messages. `tests/parallel_exec.rs` holds the serial-vs-parallel
-//! differential suite.
+//! This is the only evaluator; [`crate::reference`] is its row-wise oracle.
+//! The kernels implement exactly the oracle's semantics — checked integer
+//! arithmetic (overflow is an error), mixed int/float promotion,
+//! type-tag-ordered cross-type comparisons (matching `Value`'s `Ord`),
+//! `And`/`Or` short-circuiting (the right side is only evaluated for rows
+//! the left side did not decide), and identical error messages.
+//! `tests/parallel_exec.rs` holds the differential suite.
 
 use crate::aggregate::{Accumulator, AggExpr};
 use crate::expr::Expr;
 use crate::predicate::{CmpOp, Predicate};
+use crate::query::{Query, ResultRow};
 use scanraw_types::{BinaryChunk, ColumnData, Error, Result, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -50,10 +51,10 @@ impl Sel {
         }
     }
 
-    fn to_rows(&self) -> Vec<u32> {
+    fn into_rows(self) -> Vec<u32> {
         match self {
-            Sel::All(n) => (0..*n as u32).collect(),
-            Sel::Rows(r) => r.clone(),
+            Sel::All(n) => (0..n as u32).collect(),
+            Sel::Rows(r) => r,
         }
     }
 }
@@ -348,10 +349,10 @@ fn merge_rows(a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
     out
 }
 
-/// Filters `sel` down to the rows satisfying `pred`, preserving the serial
-/// evaluator's short-circuit structure: `And` evaluates its right side only
-/// over the left side's survivors, `Or` only over the left side's failures —
-/// so a row the serial path never evaluates an operand for cannot produce a
+/// Filters `sel` down to the rows satisfying `pred`, preserving the row-wise
+/// short-circuit structure: `And` evaluates its right side only over the
+/// left side's survivors, `Or` only over the left side's failures — so a row
+/// the reference evaluator never evaluates an operand for cannot produce a
 /// spurious error here either.
 fn filter_sel(pred: &Predicate, chunk: &BinaryChunk, sel: Sel) -> Result<Sel> {
     match pred {
@@ -392,27 +393,30 @@ fn filter_sel(pred: &Predicate, chunk: &BinaryChunk, sel: Sel) -> Result<Sel> {
             filter_sel(b, chunk, left)
         }
         Predicate::Or(a, b) => {
-            let all = sel.to_rows();
-            let left = match filter_sel(a, chunk, sel)? {
-                Sel::Rows(r) => r,
-                Sel::All(n) => (0..n as u32).collect(),
-            };
+            let all = sel.clone().into_rows();
+            let left = filter_sel(a, chunk, sel)?.into_rows();
             let rest = diff_rows(&all, &left);
-            let right = match filter_sel(b, chunk, Sel::Rows(rest))? {
-                Sel::Rows(r) => r,
-                Sel::All(_) => unreachable!("filter always returns Rows"),
-            };
+            let right = filter_sel(b, chunk, Sel::Rows(rest))?.into_rows();
             Ok(Sel::Rows(merge_rows(left, right)))
         }
         Predicate::Not(p) => {
-            let all = sel.to_rows();
-            let kept = match filter_sel(p, chunk, sel)? {
-                Sel::Rows(r) => r,
-                Sel::All(n) => (0..n as u32).collect(),
-            };
+            let all = sel.clone().into_rows();
+            let kept = filter_sel(p, chunk, sel)?.into_rows();
             Ok(Sel::Rows(diff_rows(&all, &kept)))
         }
     }
+}
+
+/// Push-down selection over a mini-batch holding the predicate's columns:
+/// the qualifying rows of `chunk`, ascending. An evaluation error keeps
+/// every row, so the exact post-scan filter raises it instead of push-down
+/// silently dropping rows the plan without push-down would have failed on.
+pub(crate) fn pushdown_rows(pred: &Predicate, chunk: &BinaryChunk) -> Vec<u32> {
+    let all = Sel::All(chunk.rows as usize);
+    // lint-ok: L017 Err keeps every row; the post-scan filter surfaces it
+    filter_sel(pred, chunk, all.clone())
+        .unwrap_or(all)
+        .into_rows()
 }
 
 /// Immutable description of what to aggregate — shared across all per-chunk
@@ -422,6 +426,17 @@ pub(crate) struct AggSpec {
     pub group_by: Vec<usize>,
     pub aggregates: Vec<AggExpr>,
     pub filter: Option<Predicate>,
+}
+
+impl AggSpec {
+    /// Snapshot of a query's aggregation shape, shareable with worker tasks.
+    pub fn of(q: &Query) -> Arc<AggSpec> {
+        Arc::new(AggSpec {
+            group_by: q.group_by.iter().map(|c| c.index()).collect(),
+            aggregates: q.aggregates.clone(),
+            filter: q.filter.clone(),
+        })
+    }
 }
 
 /// Partial aggregation state over a set of chunks; combined with
@@ -545,13 +560,12 @@ impl AggState {
         Ok(())
     }
 
-    /// Finishes into sorted result rows — same shape and ordering as the
-    /// serial `GroupedAggregator::finish`.
+    /// Finishes into result rows sorted by group key.
     // lint-zone: deterministic
-    pub fn finish(mut self) -> Result<Vec<crate::query::ResultRow>> {
+    pub fn finish(mut self) -> Result<Vec<ResultRow>> {
         if self.spec.group_by.is_empty() && self.groups.is_empty() {
             // Global aggregate over zero rows still yields one row
-            // (SUM = 0, COUNT = 0, MIN/MAX/AVG error), like the serial path.
+            // (SUM = 0, COUNT = 0, MIN/MAX/AVG error).
             let fresh = self.fresh_accumulators();
             self.groups.insert(Vec::new(), fresh);
         }
@@ -559,7 +573,7 @@ impl AggState {
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows.into_iter()
             .map(|(keys, accs)| {
-                Ok(crate::query::ResultRow {
+                Ok(ResultRow {
                     keys,
                     aggregates: accs
                         .into_iter()
@@ -622,7 +636,7 @@ fn update_batch(acc: &mut Accumulator, col: &ColVec<'_>, n: usize) -> Result<()>
         }
         _ => {
             // Generic path (MIN/MAX, SUM over mixed/string — the latter
-            // errors exactly like the serial fold).
+            // errors exactly like `Accumulator::update`).
             for i in 0..n {
                 acc.update(col.value_at(i))?;
             }
@@ -632,11 +646,34 @@ fn update_batch(acc: &mut Accumulator, col: &ColVec<'_>, n: usize) -> Result<()>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::aggregate::AggFunc;
-    use crate::expr::Expr;
+    use crate::expr::Col;
+    use crate::reference;
     use scanraw_types::ChunkId;
+
+    /// The columnar kernel's value of `expr` on every row of `chunk`.
+    pub(crate) fn columnar_values(expr: &Expr, chunk: &BinaryChunk) -> Result<Vec<Value>> {
+        let sel = Sel::All(chunk.rows as usize);
+        let v = eval_columnar(expr, chunk, &sel)?;
+        Ok((0..sel.len()).map(|i| v.value_at(i)).collect())
+    }
+
+    /// The rows of `chunk` the columnar kernel selects for `pred`.
+    pub(crate) fn columnar_rows(pred: &Predicate, chunk: &BinaryChunk) -> Result<Vec<u32>> {
+        filter_sel(pred, chunk, Sel::All(chunk.rows as usize)).map(Sel::into_rows)
+    }
+
+    /// The rows of `chunk` the reference evaluator selects for `pred`.
+    pub(crate) fn reference_rows(pred: &Predicate, chunk: &BinaryChunk) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        for (i, row) in reference::chunk_rows(chunk).iter().enumerate() {
+            if reference::eval_predicate(pred, row)? {
+                out.push(i as u32);
+            }
+        }
+        Ok(out)
+    }
 
     fn chunk(id: u32, ints: Vec<i64>, floats: Vec<f64>, strs: Vec<&str>) -> BinaryChunk {
         let rows = ints.len() as u32;
@@ -654,76 +691,60 @@ mod tests {
         }
     }
 
-    fn spec(filter: Option<Predicate>, group_by: Vec<usize>, aggs: Vec<AggExpr>) -> Arc<AggSpec> {
-        Arc::new(AggSpec {
-            group_by,
-            aggregates: aggs,
+    fn query(filter: Option<Predicate>, group_by: Vec<usize>, aggregates: Vec<AggExpr>) -> Query {
+        Query {
+            table: "t".into(),
             filter,
-        })
+            group_by: group_by.into_iter().map(Col).collect(),
+            aggregates,
+            pushdown: false,
+            projection: None,
+        }
     }
 
-    /// Serial oracle: per-row eval exactly as the engine's serial fold does.
-    fn serial_sum(chunks: &[BinaryChunk], filter: Option<&Predicate>, expr: &Expr) -> (Value, u64) {
-        let mut acc = Accumulator::new(AggFunc::Sum);
-        let mut rows = 0u64;
+    /// Folds `chunks` as the executor does: one partial per chunk, merged in
+    /// ascending chunk order.
+    fn columnar_fold(q: &Query, chunks: &[BinaryChunk]) -> (Vec<ResultRow>, u64) {
+        let spec = AggSpec::of(q);
+        let mut total = AggState::new(spec.clone());
         for c in chunks {
-            for r in 0..c.rows as usize {
-                if let Some(p) = filter {
-                    if !p.eval(c, r).unwrap() {
-                        continue;
-                    }
-                }
-                rows += 1;
-                acc.update(expr.eval(c, r).unwrap()).unwrap();
-            }
+            let mut part = AggState::new(spec.clone());
+            part.consume_chunk(c).unwrap();
+            total.merge(part).unwrap();
         }
-        (acc.finish().unwrap(), rows)
+        let rows_seen = total.rows_seen;
+        (total.finish().unwrap(), rows_seen)
+    }
+
+    fn reference_fold(q: &Query, chunks: &[BinaryChunk]) -> (Vec<ResultRow>, u64) {
+        let rows: Vec<Vec<Value>> = chunks.iter().flat_map(reference::chunk_rows).collect();
+        reference::fold(q, rows.iter().map(Vec::as_slice)).unwrap()
     }
 
     #[test]
-    fn columnar_matches_serial_with_filter() {
+    fn columnar_matches_reference_with_filter() {
         let chunks = vec![
             chunk(0, vec![1, 5, 9], vec![0.5, 1.5, 2.5], vec!["a", "b", "c"]),
             chunk(1, vec![2, 6, 10], vec![3.5, 4.5, 5.5], vec!["d", "e", "f"]),
         ];
-        let filter = Predicate::between(0, 2i64, 9i64);
         let expr = Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::col(1)));
-        let (oracle, oracle_rows) = serial_sum(&chunks, Some(&filter), &expr);
-
-        let s = spec(Some(filter), vec![], vec![AggExpr::sum(expr)]);
-        let mut total = AggState::new(s.clone());
-        for c in &chunks {
-            let mut part = AggState::new(s.clone());
-            part.consume_chunk(c).unwrap();
-            total.merge(part).unwrap();
-        }
-        assert_eq!(total.rows_seen, oracle_rows);
-        let rows = total.finish().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].aggregates[0], oracle);
+        let q = query(
+            Some(Predicate::between(0, 2i64, 9i64)),
+            vec![],
+            vec![AggExpr::sum(expr)],
+        );
+        let (rows, rows_seen) = columnar_fold(&q, &chunks);
+        assert_eq!((rows.clone(), rows_seen), reference_fold(&q, &chunks));
+        assert_eq!(rows_seen, 4);
+        assert_eq!(rows[0].aggregates[0], Value::Float(6.5 + 11.5 + 5.5 + 10.5));
     }
 
     #[test]
     fn or_and_not_short_circuit_structure() {
         // Row 0 passes the left arm; the right arm would error on eval
-        // (overflow) only for row 0 — serial never evaluates it there.
+        // (overflow) only for row 0 — the reference never evaluates it there.
         let c = chunk(0, vec![1, i64::MAX], vec![0.0, 0.0], vec!["x", "y"]);
-        let left = Predicate::Cmp(Expr::col(0), CmpOp::Eq, Expr::lit(1i64));
-        let overflowing = Predicate::Cmp(
-            Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::lit(i64::MAX))),
-            CmpOp::Gt,
-            Expr::lit(0i64),
-        );
-        // Serial: row 0 → left true, right skipped. Row 1 → left false,
-        // right evaluated → overflow error. Columnar must agree.
-        let or = Predicate::Or(Box::new(left), Box::new(overflowing));
-        assert!(or.eval(&c, 0).unwrap());
-        assert!(or.eval(&c, 1).is_err());
-        let err = filter_sel(&or, &c, Sel::All(2)).unwrap_err();
-        assert!(err.to_string().contains("integer overflow"), "{err}");
-
-        // Restricting the selection to row 0 must succeed.
-        let or2 = Predicate::Or(
+        let or = Predicate::Or(
             Box::new(Predicate::Cmp(Expr::col(0), CmpOp::Eq, Expr::lit(1i64))),
             Box::new(Predicate::Cmp(
                 Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::lit(i64::MAX))),
@@ -731,86 +752,99 @@ mod tests {
                 Expr::lit(0i64),
             )),
         );
-        match filter_sel(&or2, &c, Sel::Rows(vec![0])).unwrap() {
+        // Reference: row 0 → left true, right skipped. Row 1 → left false,
+        // right evaluated → overflow error. Columnar must agree.
+        let rows = reference::chunk_rows(&c);
+        assert!(reference::eval_predicate(&or, &rows[0]).unwrap());
+        assert!(reference::eval_predicate(&or, &rows[1]).is_err());
+        let err = columnar_rows(&or, &c).unwrap_err();
+        assert!(err.to_string().contains("integer overflow"), "{err}");
+
+        // Restricting the selection to row 0 must succeed.
+        match filter_sel(&or, &c, Sel::Rows(vec![0])).unwrap() {
             Sel::Rows(r) => assert_eq!(r, vec![0]),
             Sel::All(_) => unreachable!(),
         }
+    }
+
+    #[test]
+    fn pushdown_keeps_every_row_when_evaluation_fails() {
+        let c = chunk(0, vec![1, i64::MAX, 3], vec![0.0; 3], vec!["x", "y", "z"]);
+        let overflowing = Predicate::Cmp(
+            Expr::Add(Box::new(Expr::col(0)), Box::new(Expr::lit(i64::MAX))),
+            CmpOp::Gt,
+            Expr::lit(0i64),
+        );
+        assert!(columnar_rows(&overflowing, &c).is_err());
+        assert_eq!(pushdown_rows(&overflowing, &c), vec![0, 1, 2]);
+        // Without an error, push-down selects exactly the kernel's rows.
+        let odd = Predicate::Cmp(Expr::col(0), CmpOp::Ne, Expr::lit(i64::MAX));
+        assert_eq!(pushdown_rows(&odd, &c), reference_rows(&odd, &c).unwrap());
+        assert_eq!(pushdown_rows(&odd, &c), vec![0, 2]);
     }
 
     #[test]
     fn cross_type_comparison_matches_value_ord() {
         // Value's Ord ranks Int < Float regardless of magnitude; the
-        // columnar comparator must agree with the serial evaluator.
+        // columnar comparator must agree with the reference evaluator.
         let c = chunk(0, vec![i64::MAX], vec![f64::MIN], vec!["s"]);
-        let p = Predicate::Cmp(Expr::col(0), CmpOp::Lt, Expr::col(1));
-        assert!(p.eval(&c, 0).unwrap());
-        match filter_sel(&p, &c, Sel::All(1)).unwrap() {
-            Sel::Rows(r) => assert_eq!(r, vec![0]),
-            Sel::All(_) => unreachable!(),
-        }
+        let lt = Predicate::Cmp(Expr::col(0), CmpOp::Lt, Expr::col(1));
+        assert_eq!(columnar_rows(&lt, &c).unwrap(), vec![0]);
+        assert_eq!(reference_rows(&lt, &c).unwrap(), vec![0]);
         // But equality follows PartialEq: cross-type is unequal, so Ne holds.
-        let p = Predicate::Cmp(Expr::col(0), CmpOp::Ne, Expr::col(1));
-        assert!(p.eval(&c, 0).unwrap());
-        match filter_sel(&p, &c, Sel::All(1)).unwrap() {
-            Sel::Rows(r) => assert_eq!(r, vec![0]),
-            Sel::All(_) => unreachable!(),
-        }
+        let ne = Predicate::Cmp(Expr::col(0), CmpOp::Ne, Expr::col(1));
+        assert_eq!(columnar_rows(&ne, &c).unwrap(), vec![0]);
+        assert_eq!(reference_rows(&ne, &c).unwrap(), vec![0]);
     }
 
     #[test]
-    fn group_by_merge_matches_single_state() {
+    fn group_by_merge_matches_single_state_and_reference() {
         let chunks = vec![
             chunk(0, vec![1, 2, 1], vec![1.0, 2.0, 3.0], vec!["a", "b", "a"]),
             chunk(1, vec![2, 1, 3], vec![4.0, 5.0, 6.0], vec!["b", "a", "c"]),
         ];
-        let s = spec(
+        let q = query(
             None,
             vec![0],
             vec![AggExpr::sum(Expr::col(1)), AggExpr::count()],
         );
         // One state consuming everything vs merged per-chunk partials.
-        let mut whole = AggState::new(s.clone());
+        let mut whole = AggState::new(AggSpec::of(&q));
         for c in &chunks {
             whole.consume_chunk(c).unwrap();
         }
-        let mut merged = AggState::new(s.clone());
-        for c in &chunks {
-            let mut part = AggState::new(s.clone());
-            part.consume_chunk(c).unwrap();
-            merged.merge(part).unwrap();
-        }
-        let a = whole.finish().unwrap();
-        let b = merged.finish().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
+        let (merged, _) = columnar_fold(&q, &chunks);
+        assert_eq!(whole.finish().unwrap(), merged);
+        assert_eq!(merged.len(), 3);
+        assert_eq!(merged, reference_fold(&q, &chunks).0);
     }
 
     #[test]
     fn like_filter_columnar() {
         let c = chunk(0, vec![1, 2, 3], vec![0.0; 3], vec!["100M", "50I", "90M"]);
         let p = Predicate::like(2, "%M");
-        match filter_sel(&p, &c, Sel::All(3)).unwrap() {
-            Sel::Rows(r) => assert_eq!(r, vec![0, 2]),
-            Sel::All(_) => unreachable!(),
-        }
-        // LIKE over a non-string column: false everywhere (serial parity).
+        assert_eq!(columnar_rows(&p, &c).unwrap(), vec![0, 2]);
+        assert_eq!(reference_rows(&p, &c).unwrap(), vec![0, 2]);
+        // LIKE over a non-string column: false everywhere.
         let p = Predicate::like(0, "%");
-        match filter_sel(&p, &c, Sel::All(3)).unwrap() {
-            Sel::Rows(r) => assert!(r.is_empty()),
-            Sel::All(_) => unreachable!(),
-        }
+        assert!(columnar_rows(&p, &c).unwrap().is_empty());
+        assert!(reference_rows(&p, &c).unwrap().is_empty());
     }
 
     #[test]
     fn sum_overflow_promotes_mid_chunk() {
-        let c = chunk(0, vec![i64::MAX, 1, 1], vec![0.0; 3], vec!["x", "y", "z"]);
-        let s = spec(None, vec![], vec![AggExpr::sum(Expr::col(0))]);
-        let mut st = AggState::new(s);
-        st.consume_chunk(&c).unwrap();
-        let rows = st.finish().unwrap();
+        let chunks = vec![chunk(
+            0,
+            vec![i64::MAX, 1, 1],
+            vec![0.0; 3],
+            vec!["x", "y", "z"],
+        )];
+        let q = query(None, vec![], vec![AggExpr::sum(Expr::col(0))]);
+        let (rows, _) = columnar_fold(&q, &chunks);
         match &rows[0].aggregates[0] {
             Value::Float(f) => assert!(*f > 9.2e18, "{f}"),
             other => panic!("expected promoted float, got {other:?}"),
         }
+        assert_eq!(rows, reference_fold(&q, &chunks).0);
     }
 }

@@ -5,7 +5,7 @@
 //! matching (`%` = any sequence, `_` = any single character).
 
 use crate::expr::{Col, Expr};
-use scanraw_types::{BinaryChunk, RangePredicate, Result, Value};
+use scanraw_types::{RangePredicate, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,63 +77,6 @@ impl Predicate {
                 b.collect_columns(out);
             }
             Predicate::Not(p) => p.collect_columns(out),
-        }
-    }
-
-    /// Evaluates the predicate for one row.
-    pub fn eval(&self, chunk: &BinaryChunk, row: usize) -> Result<bool> {
-        match self {
-            Predicate::Cmp(a, op, b) => {
-                let (x, y) = (a.eval(chunk, row)?, b.eval(chunk, row)?);
-                Ok(match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                })
-            }
-            Predicate::Like(col, pattern) => {
-                let v = Expr::col(*col).eval(chunk, row)?;
-                Ok(match v.as_str() {
-                    Some(s) => like_match(pattern.as_bytes(), s.as_bytes()),
-                    None => false,
-                })
-            }
-            Predicate::And(a, b) => Ok(a.eval(chunk, row)? && b.eval(chunk, row)?),
-            Predicate::Or(a, b) => Ok(a.eval(chunk, row)? || b.eval(chunk, row)?),
-            Predicate::Not(p) => Ok(!p.eval(chunk, row)?),
-        }
-    }
-
-    /// Evaluates the predicate against a bag of column values (`cols[i]`
-    /// holds `values[i]`) — the push-down selection entry point.
-    pub fn eval_values(&self, cols: &[usize], values: &[Value]) -> Result<bool> {
-        match self {
-            Predicate::Cmp(a, op, b) => {
-                let (x, y) = (a.eval_values(cols, values)?, b.eval_values(cols, values)?);
-                Ok(match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                })
-            }
-            Predicate::Like(col, pattern) => {
-                let v = Expr::col(*col).eval_values(cols, values)?;
-                Ok(match v.as_str() {
-                    Some(s) => like_match(pattern.as_bytes(), s.as_bytes()),
-                    None => false,
-                })
-            }
-            Predicate::And(a, b) => {
-                Ok(a.eval_values(cols, values)? && b.eval_values(cols, values)?)
-            }
-            Predicate::Or(a, b) => Ok(a.eval_values(cols, values)? || b.eval_values(cols, values)?),
-            Predicate::Not(p) => Ok(!p.eval_values(cols, values)?),
         }
     }
 
@@ -224,8 +167,8 @@ fn tighter_high(a: std::ops::Bound<Value>, b: std::ops::Bound<Value>) -> std::op
 }
 
 /// Iterative SQL-LIKE matcher (`%` any run, `_` one char), O(n·m) worst case
-/// with the classic two-pointer backtracking technique. Shared with the
-/// columnar kernels in `parallel` so both paths match identically.
+/// with the classic two-pointer backtracking technique. Shared by the
+/// columnar kernels in `parallel` and the `reference` oracle.
 pub(crate) fn like_match(pattern: &[u8], text: &[u8]) -> bool {
     let (mut p, mut t) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
@@ -254,7 +197,8 @@ pub(crate) fn like_match(pattern: &[u8], text: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanraw_types::{ChunkId, ColumnData};
+    use crate::parallel::tests::{columnar_rows, reference_rows};
+    use scanraw_types::{BinaryChunk, ChunkId, ColumnData};
 
     fn chunk() -> BinaryChunk {
         BinaryChunk {
@@ -272,29 +216,35 @@ mod tests {
         }
     }
 
+    /// The rows of `c` satisfying `p`, asserting the columnar kernel and the
+    /// reference evaluator agree.
+    fn rows(p: &Predicate, c: &BinaryChunk) -> Vec<u32> {
+        let columnar = columnar_rows(p, c).unwrap();
+        assert_eq!(columnar, reference_rows(p, c).unwrap(), "{p:?}");
+        columnar
+    }
+
     #[test]
     fn comparisons() {
         let c = chunk();
         let p = Predicate::Cmp(Expr::col(0), CmpOp::Gt, Expr::lit(7i64));
-        assert!(!p.eval(&c, 0).unwrap());
-        assert!(p.eval(&c, 1).unwrap());
+        assert_eq!(rows(&p, &c), vec![1, 2]);
         let p = Predicate::Cmp(Expr::col(0), CmpOp::Eq, Expr::lit(15i64));
-        assert!(p.eval(&c, 2).unwrap());
+        assert_eq!(rows(&p, &c), vec![2]);
     }
 
     #[test]
     fn boolean_combinators() {
         let c = chunk();
         let p = Predicate::between(0, 6i64, 12i64);
-        assert!(!p.eval(&c, 0).unwrap());
-        assert!(p.eval(&c, 1).unwrap());
+        assert_eq!(rows(&p, &c), vec![1]);
         let n = Predicate::Not(Box::new(p.clone()));
-        assert!(n.eval(&c, 0).unwrap());
+        assert_eq!(rows(&n, &c), vec![0, 2]);
         let o = Predicate::Or(
             Box::new(p),
             Box::new(Predicate::Cmp(Expr::col(0), CmpOp::Eq, Expr::lit(5i64))),
         );
-        assert!(o.eval(&c, 0).unwrap());
+        assert_eq!(rows(&o, &c), vec![0, 1]);
     }
 
     #[test]
@@ -314,11 +264,10 @@ mod tests {
     fn like_predicate_on_strings() {
         let c = chunk();
         let p = Predicate::like(1, "%I%");
-        assert!(!p.eval(&c, 0).unwrap());
-        assert!(p.eval(&c, 1).unwrap());
+        assert_eq!(rows(&p, &c), vec![1]);
         // LIKE on a non-string column is simply false.
         let p = Predicate::like(0, "%");
-        assert!(!p.eval(&c, 0).unwrap());
+        assert!(rows(&p, &c).is_empty());
     }
 
     #[test]

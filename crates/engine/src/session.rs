@@ -30,9 +30,7 @@
 //! println!("{:?}", outcome.result.scalar());
 //! ```
 
-use crate::executor::{
-    AnalyzeReport, Engine, ExecMode, ExplainReport, QueryOutcome, SharedOutcome,
-};
+use crate::executor::{AnalyzeReport, Engine, ExecMode, ExplainReport, QueryOutcome};
 use crate::expr::Col;
 use crate::query::Query;
 use crate::serve::{ServeConfig, Server};
@@ -45,10 +43,7 @@ use std::sync::Arc;
 
 /// One execution request: a single query or a shared-scan batch, plus how to
 /// run it — per-request exec-mode override, tracing, widened projection.
-///
-/// This is the single entry point that replaces the old
-/// `execute`/`execute_traced`/`execute_shared`/`execute_shared_traced` ×
-/// [`ExecMode`] matrix: build a request, hand it to [`Session::run`].
+/// Build a request, hand it to [`Session::run`].
 ///
 /// ```ignore
 /// let out = session.run(
@@ -92,8 +87,8 @@ impl ExecRequest {
         self
     }
 
-    /// Override the chunk-fold strategy for this request only; the session
-    /// default applies otherwise.
+    /// Override where this request folds its chunks (see [`ExecMode`]); the
+    /// session default applies otherwise.
     pub fn mode(mut self, mode: ExecMode) -> Self {
         self.mode = Some(mode);
         self
@@ -190,21 +185,21 @@ impl Session {
         }
     }
 
-    /// Switches the chunk-fold strategy (parallel by default); chainable at
-    /// construction time.
+    /// Switches where queries fold their chunks (parallel by default);
+    /// chainable at construction time.
     pub fn with_exec_mode(self, mode: ExecMode) -> Self {
         self.engine.set_exec_mode(mode);
         self
     }
 
-    /// Switches the chunk-fold strategy for queries that start from now on.
+    /// Switches where queries that start from now on fold their chunks.
     /// Safe on a shared session: each in-flight query keeps the mode it
     /// sampled at entry.
     pub fn set_exec_mode(&self, mode: ExecMode) {
         self.engine.set_exec_mode(mode);
     }
 
-    /// The current chunk-fold strategy.
+    /// Where queries currently fold their chunks.
     pub fn exec_mode(&self) -> ExecMode {
         self.engine.exec_mode()
     }
@@ -235,8 +230,7 @@ impl Session {
 
     /// Runs an [`ExecRequest`]: one query or a shared-scan batch, with
     /// per-request exec-mode, tracing, and projection options. This is the
-    /// session's single execution entry point; the deprecated
-    /// `execute*` methods are thin wrappers over it.
+    /// session's single execution entry point.
     ///
     /// # Errors
     ///
@@ -303,44 +297,6 @@ impl Session {
                 batch_trace: None,
             })
         }
-    }
-
-    /// Runs an aggregate query. See [`Engine::execute`].
-    #[deprecated(note = "build an `ExecRequest::query` and call `Session::run`")]
-    pub fn execute(&self, query: &Query) -> Result<QueryOutcome> {
-        self.run(ExecRequest::query(query.clone()))
-            .map(ExecOutcome::into_single)
-    }
-
-    /// Answers a batch of queries over the same table with one shared scan.
-    /// See [`Engine::execute_shared`].
-    #[deprecated(note = "build an `ExecRequest::batch` and call `Session::run`")]
-    pub fn execute_shared(&self, queries: &[Query]) -> Result<Vec<QueryOutcome>> {
-        self.run(ExecRequest::batch(queries.to_vec()))
-            .map(|out| out.outcomes)
-    }
-
-    /// [`Session::run`] with a traced batch, returning raw trace ids rather
-    /// than extracted trees. See [`Engine::execute_shared_traced`].
-    #[deprecated(note = "build a traced `ExecRequest::batch` and call `Session::run`")]
-    pub fn execute_shared_traced(&self, queries: &[Query]) -> Result<SharedOutcome> {
-        self.engine.execute_shared_traced(queries)
-    }
-
-    /// Runs a query and returns its outcome together with the causal span
-    /// tree of everything the query did — scan, per-chunk reads and
-    /// conversions, consumer-side execution, the merge, write-backs, disk
-    /// operations, retries, and fallbacks. Pending write-backs are drained
-    /// first so every span in the tree is closed.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the query fails, or when tracing is disabled on the
-    /// table's span recorder (`op.obs().trace.set_enabled(false)`).
-    #[deprecated(note = "build a traced `ExecRequest::query` and call `Session::run`")]
-    pub fn execute_traced(&self, query: &Query) -> Result<(QueryOutcome, QueryTrace)> {
-        self.run(ExecRequest::query(query.clone()).traced())
-            .map(ExecOutcome::into_traced_single)
     }
 
     /// The span tree of the most recently completed traced query, or `None`
@@ -411,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shims_agree_with_run() {
+    fn batches_and_mode_overrides_agree_with_run() {
         let disk = SimDisk::instant();
         stage_csv(&disk, "t.csv", &CsvSpec::new(500, 2, 3));
         let session = Session::open(disk);
@@ -429,9 +385,6 @@ mod tests {
             .run(ExecRequest::query(q.clone()))
             .unwrap()
             .into_single();
-        #[allow(deprecated)]
-        let via_shim = session.execute(&q).unwrap();
-        assert_eq!(via_run.result.rows, via_shim.result.rows);
         let batch = session
             .run(ExecRequest::batch(vec![q.clone(), q.clone()]))
             .unwrap();

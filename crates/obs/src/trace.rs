@@ -6,7 +6,9 @@
 //! running on the simulated device clock produces byte-identical traces run
 //! after run. The recorder is lock-light — span IDs come from atomics, and a
 //! single mutex guards the open-span table and the bounded ring of closed
-//! spans (one lock keeps the lock hierarchy trivial).
+//! spans (one lock keeps the lock hierarchy trivial). Each pipeline role
+//! (READ, WRITE, each pool worker, everything else) draws span IDs from its
+//! own sequence, so IDs do not depend on how the roles' threads interleave.
 //!
 //! Propagation uses two mechanisms:
 //!
@@ -86,9 +88,14 @@ struct SpanStore {
     dropped: u64,
 }
 
+/// Span-id lanes: one per pipeline role (see [`span_lane`]).
+const LANES: usize = 16;
+/// A span id is `lane << LANE_SHIFT | sequence within the lane`.
+const LANE_SHIFT: u32 = 40;
+
 struct RecorderInner {
     store: Mutex<SpanStore>,
-    next_span: AtomicU64,
+    next_span: [AtomicU64; LANES],
     next_trace: AtomicU64,
     enabled: AtomicBool,
     now: TimeSource,
@@ -134,7 +141,7 @@ impl SpanRecorder {
                     closed: VecDeque::new(),
                     dropped: 0,
                 }),
-                next_span: AtomicU64::new(1),
+                next_span: std::array::from_fn(|_| AtomicU64::new(1)),
                 next_trace: AtomicU64::new(1),
                 enabled: AtomicBool::new(true),
                 now,
@@ -170,8 +177,10 @@ impl SpanRecorder {
         name: &'static str,
         tags: Vec<(&'static str, String)>,
     ) -> SpanId {
+        let lane = span_lane();
         // relaxed-ok: ids only need uniqueness, not ordering across threads
-        let id = SpanId(self.inner.next_span.fetch_add(1, Ordering::Relaxed));
+        let seq = self.inner.next_span[lane].fetch_add(1, Ordering::Relaxed);
+        let id = SpanId((lane as u64) << LANE_SHIFT | seq);
         if !self.enabled() {
             return id;
         }
@@ -309,6 +318,36 @@ pub fn worker_label() -> String {
 
 thread_local! {
     static CURRENT: Cell<Option<SpanCtx>> = const { Cell::new(None) };
+    static LANE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The calling thread's span-id lane, from its pipeline role (the thread-name
+/// convention [`worker_label`] reads): READ, WRITE, and one lane per pool
+/// worker; every other thread — the engine's among them — shares
+/// lane 0. Per-lane ids keep a trace's ids, and so its span order at equal
+/// timestamps, independent of how the roles' threads interleave: a
+/// virtual-clock trace reproduces exactly whenever each role's own span
+/// sequence does.
+fn span_lane() -> usize {
+    LANE.with(|cached| {
+        if let Some(lane) = cached.get() {
+            return lane;
+        }
+        let lane = match std::thread::current().name() {
+            Some(name) if name.contains("-read-") => 1,
+            Some(name) if name.contains("-write-") => 2,
+            Some(name) => match name.rsplit_once('-') {
+                Some((head, index)) if head.contains("worker") => {
+                    3 + index.parse::<usize>().unwrap_or(0)
+                }
+                _ => 0,
+            },
+            None => 0,
+        }
+        .min(LANES - 1);
+        cached.set(Some(lane));
+        lane
+    })
 }
 
 /// The thread's ambient span context, if one is pinned.
@@ -788,5 +827,27 @@ mod tests {
         }
         assert_eq!(recorder.dropped(), 10);
         assert_eq!(recorder.trace(trace).spans.len(), DEFAULT_SPAN_CAPACITY);
+    }
+
+    #[test]
+    fn span_ids_are_drawn_per_pipeline_role() {
+        let recorder = SpanRecorder::new();
+        let trace = recorder.next_trace();
+        let root = recorder.begin(trace, None, "query", vec![]);
+        let r = recorder.clone();
+        let read_ids: Vec<u64> = std::thread::Builder::new()
+            .name("scanraw-read-t".into())
+            .spawn(move || {
+                (0..3)
+                    .map(|_| r.begin(trace, Some(root), "read.chunk", vec![]).0)
+                    .collect()
+            })
+            .expect("spawn")
+            .join()
+            .expect("join");
+        assert_eq!(read_ids, [1, 2, 3].map(|s| 1 << LANE_SHIFT | s));
+        // The READ thread's spans took nothing from this thread's sequence.
+        let next = recorder.begin(trace, Some(root), "exec.chunk", vec![]);
+        assert_eq!(next.0, root.0 + 1);
     }
 }

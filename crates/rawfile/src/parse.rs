@@ -24,11 +24,12 @@ use scanraw_types::{
 /// Push-down selection: a predicate over a set of columns evaluated during
 /// parsing, before the remaining columns are converted (paper §2, PARSE).
 pub struct RowFilter<'a> {
-    /// Columns the predicate needs (parsed first).
+    /// Columns the predicate needs (parsed first, for every row).
     pub columns: &'a [usize],
-    /// Returns true when the row qualifies; receives the values of
-    /// `columns`, in the same order.
-    pub predicate: &'a (dyn Fn(&[Value]) -> bool + Sync),
+    /// Receives a mini-batch chunk holding `columns` for every row of the
+    /// text chunk (other columns absent) and returns the qualifying row
+    /// indices, ascending.
+    pub select: &'a (dyn Fn(&BinaryChunk) -> Vec<u32> + Sync),
 }
 
 /// Parses every column of the schema. Equivalent to
@@ -97,14 +98,15 @@ pub fn parse_chunk_projected(
     Ok(out)
 }
 
-/// Push-down selection: parses `filter.columns`, evaluates the predicate per
-/// row, and parses the remaining projected columns only for qualifying rows.
+/// Push-down selection in two passes: parses `filter.columns` for every row
+/// into a mini-batch, asks `filter.select` for the qualifying rows, then
+/// parses the remaining projected columns only for those rows (the
+/// projected predicate columns are gathered from the mini-batch).
 ///
-/// Returns the filtered chunk (only qualifying rows) and the per-chunk
-/// qualifying row count. The returned chunk keeps the source `ChunkId` but
-/// its `rows` is the selected count; it is intended for immediate query
-/// consumption, not for loading (the paper explains the bookkeeping cost of
-/// loading filtered chunks is prohibitive, §2 WRITE).
+/// Returns the filtered chunk (only qualifying rows). It keeps the source
+/// `ChunkId` but its `rows` is the selected count; it is intended for
+/// immediate query consumption, not for loading (the paper explains the
+/// bookkeeping cost of loading filtered chunks is prohibitive, §2 WRITE).
 pub fn parse_chunk_filtered(
     chunk: &TextChunk,
     map: &PositionalMap,
@@ -113,92 +115,40 @@ pub fn parse_chunk_filtered(
     projection: &[usize],
     filter: &RowFilter<'_>,
 ) -> Result<BinaryChunk> {
-    // Columns needed at predicate time.
-    let mut pred_sorted: Vec<usize> = filter.columns.to_vec();
-    pred_sorted.sort_unstable();
-    pred_sorted.dedup();
-    // Columns parsed only for qualifying rows.
-    let rest: Vec<usize> = projection
-        .iter()
-        .copied()
-        .filter(|c| !filter.columns.contains(c))
-        .collect();
-    let mut rest_sorted = rest.clone();
-    rest_sorted.sort_unstable();
-    rest_sorted.dedup();
-
     for &c in projection.iter().chain(filter.columns) {
         if c >= schema.len() {
             return Err(Error::Schema(format!("column {c} out of range")));
         }
     }
+    let mut batch = parse_chunk_projected(chunk, map, dialect, schema, filter.columns)?;
+    let sel = (filter.select)(&batch);
+    if sel.windows(2).any(|w| w[0] >= w[1]) || sel.last().is_some_and(|&r| r >= chunk.rows) {
+        return Err(Error::query(format!(
+            "push-down selection over {} rows is not ascending and in range",
+            chunk.rows
+        )));
+    }
 
-    let mut pred_builders: Vec<(usize, ColumnBuilder)> = filter
-        .columns
+    // Columns parsed only for qualifying rows.
+    let mut rest: Vec<usize> = projection
         .iter()
-        .filter(|c| projection.contains(c))
-        .map(|&c| {
-            (
-                c,
-                ColumnBuilder::new(schema.field(c).expect("checked").data_type, 0),
-            )
-        })
+        .copied()
+        .filter(|c| !filter.columns.contains(c))
         .collect();
-    let mut rest_builders: Vec<(usize, ColumnBuilder)> = rest
+    rest.sort_unstable();
+    rest.dedup();
+    let mut builders: Vec<(usize, ColumnBuilder)> = rest
         .iter()
         .map(|&c| {
-            (
-                c,
-                ColumnBuilder::new(schema.field(c).expect("checked").data_type, 0),
-            )
-        })
-        .collect();
-
-    let mut spans: Vec<(u32, u32)> = vec![(0, 0); schema.len()];
-    let mut pred_values: Vec<Value> = Vec::with_capacity(filter.columns.len());
-    let mut selected = 0u32;
-
-    for row in 0..chunk.rows {
-        locate_row(
-            chunk,
-            map,
-            dialect,
-            schema.len(),
-            row,
-            &pred_sorted,
-            &mut spans,
-        )?;
-        pred_values.clear();
-        for &c in filter.columns {
-            let (s, e) = spans[c];
             let dt = schema.field(c).expect("checked").data_type;
-            pred_values.push(parse_value(
-                &chunk.data[s as usize..e as usize],
-                dt,
-                chunk.first_row + row as u64,
-                c,
-            )?);
-        }
-        if !(filter.predicate)(&pred_values) {
-            continue;
-        }
-        selected += 1;
-        for (i, &c) in filter.columns.iter().enumerate() {
-            if let Some((_, b)) = pred_builders.iter_mut().find(|(bc, _)| *bc == c) {
-                b.push_value(pred_values[i].clone());
-            }
-        }
-        if !rest_sorted.is_empty() {
-            locate_row(
-                chunk,
-                map,
-                dialect,
-                schema.len(),
-                row,
-                &rest_sorted,
-                &mut spans,
-            )?;
-            for (c, b) in rest_builders.iter_mut() {
+            (c, ColumnBuilder::new(dt, sel.len()))
+        })
+        .collect();
+    let mut spans: Vec<(u32, u32)> = vec![(0, 0); schema.len()];
+    if !rest.is_empty() {
+        for &row in &sel {
+            locate_row(chunk, map, dialect, schema.len(), row, &rest, &mut spans)?;
+            for (c, b) in builders.iter_mut() {
                 let (s, e) = spans[*c];
                 b.push(
                     &chunk.data[s as usize..e as usize],
@@ -209,11 +159,31 @@ pub fn parse_chunk_filtered(
         }
     }
 
-    let mut out = BinaryChunk::empty(chunk.id, chunk.first_row, selected, schema.len());
-    for (c, b) in pred_builders.into_iter().chain(rest_builders) {
+    let mut out = BinaryChunk::empty(chunk.id, chunk.first_row, sel.len() as u32, schema.len());
+    for &c in filter.columns.iter().filter(|c| projection.contains(c)) {
+        if let Some(col) = batch.columns[c].take() {
+            out.columns[c] = Some(gather(col, &sel));
+        }
+    }
+    for (c, b) in builders {
         out.columns[c] = Some(b.finish());
     }
     Ok(out)
+}
+
+/// The values of `col` at `rows` (ascending, distinct, in range).
+fn gather(col: ColumnData, rows: &[u32]) -> ColumnData {
+    match col {
+        ColumnData::Int64(v) => ColumnData::Int64(rows.iter().map(|&r| v[r as usize]).collect()),
+        ColumnData::Float64(v) => {
+            ColumnData::Float64(rows.iter().map(|&r| v[r as usize]).collect())
+        }
+        ColumnData::Utf8(mut v) => ColumnData::Utf8(
+            rows.iter()
+                .map(|&r| std::mem::take(&mut v[r as usize]))
+                .collect(),
+        ),
+    }
 }
 
 /// Computes the byte span (start, end) of each column in `wanted` (ascending)
@@ -311,15 +281,6 @@ impl ColumnBuilder {
         Ok(())
     }
 
-    fn push_value(&mut self, value: Value) {
-        match (self, value) {
-            (ColumnBuilder::Int64(v), Value::Int(x)) => v.push(x),
-            (ColumnBuilder::Float64(v), Value::Float(x)) => v.push(x),
-            (ColumnBuilder::Utf8(v), Value::Str(x)) => v.push(x),
-            _ => unreachable!("builder/value type mismatch is prevented by construction"),
-        }
-    }
-
     fn finish(self) -> ColumnData {
         match self {
             ColumnBuilder::Int64(v) => ColumnData::Int64(v),
@@ -327,15 +288,6 @@ impl ColumnBuilder {
             ColumnBuilder::Utf8(v) => ColumnData::Utf8(v),
         }
     }
-}
-
-/// Parses one attribute as a dynamic value (used by push-down selection).
-fn parse_value(bytes: &[u8], dt: DataType, line: u64, column: usize) -> Result<Value> {
-    Ok(match dt {
-        DataType::Int64 => Value::Int(parse_i64(bytes, line, column)?),
-        DataType::Float64 => Value::Float(parse_f64(bytes, line, column)?),
-        DataType::Utf8 => Value::Str(parse_str(bytes, line, column)?),
-    })
 }
 
 /// Fast decimal integer parser (the `atoi` of paper §2) with overflow checks.
@@ -558,14 +510,31 @@ mod tests {
         assert_eq!(ints(&b, 2), vec![3, 4]);
     }
 
+    /// A selection callback keeping the rows whose column `col` satisfies
+    /// `keep`; checks it only ever sees the predicate column.
+    fn select_where(col: usize, keep: fn(i64) -> bool) -> impl Fn(&BinaryChunk) -> Vec<u32> + Sync {
+        move |batch: &BinaryChunk| {
+            assert_eq!(
+                batch.present_columns(),
+                vec![col],
+                "mini-batch holds only predicate columns"
+            );
+            let values = ints(batch, col);
+            (0..batch.rows)
+                .filter(|&r| keep(values[r as usize]))
+                .collect()
+        }
+    }
+
     #[test]
     fn pushdown_selection_filters_rows() {
         let c = chunk("1,10\n2,20\n3,30\n4,40\n", 4);
         let schema = Schema::uniform_ints(2);
         let m = tokenize_chunk(&c, TextDialect::CSV, 2).unwrap();
+        let select = select_where(0, |v| v % 2 == 0);
         let filter = RowFilter {
             columns: &[0],
-            predicate: &|vals: &[Value]| vals[0].as_i64().unwrap() % 2 == 0,
+            select: &select,
         };
         let b = parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[0, 1], &filter).unwrap();
         assert_eq!(b.rows, 2);
@@ -578,14 +547,57 @@ mod tests {
         let c = chunk("1,10\n2,20\n", 2);
         let schema = Schema::uniform_ints(2);
         let m = tokenize_chunk(&c, TextDialect::CSV, 2).unwrap();
+        let select = select_where(0, |v| v > 1);
         let filter = RowFilter {
             columns: &[0],
-            predicate: &|vals: &[Value]| vals[0].as_i64().unwrap() > 1,
+            select: &select,
         };
         let b = parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[1], &filter).unwrap();
         assert_eq!(b.rows, 1);
         assert!(b.column(0).is_none(), "predicate col not projected");
         assert_eq!(ints(&b, 1), vec![20]);
+    }
+
+    #[test]
+    fn pushdown_selecting_no_row_yields_empty_projected_columns() {
+        use scanraw_types::Field;
+        let schema = Schema::new(vec![
+            Field::new("n", DataType::Int64),
+            Field::new("name", DataType::Utf8),
+            Field::new("score", DataType::Float64),
+        ])
+        .unwrap();
+        let c = chunk("1,a,0.5\n2,b,1.5\n", 2);
+        let m = tokenize_chunk(&c, TextDialect::CSV, 3).unwrap();
+        let select = select_where(0, |_| false);
+        let filter = RowFilter {
+            columns: &[0],
+            select: &select,
+        };
+        let b =
+            parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[0, 1, 2], &filter).unwrap();
+        assert_eq!(b.rows, 0);
+        assert_eq!(b.column(0), Some(&ColumnData::Int64(vec![])));
+        assert_eq!(b.column(1), Some(&ColumnData::Utf8(vec![])));
+        assert_eq!(b.column(2), Some(&ColumnData::Float64(vec![])));
+        b.validate(&schema).unwrap();
+    }
+
+    #[test]
+    fn pushdown_rejects_an_unordered_selection() {
+        let c = chunk("1,10\n2,20\n", 2);
+        let schema = Schema::uniform_ints(2);
+        let m = tokenize_chunk(&c, TextDialect::CSV, 2).unwrap();
+        for bad in [vec![1, 0], vec![0, 0], vec![2]] {
+            let select = move |_: &BinaryChunk| bad.clone();
+            let filter = RowFilter {
+                columns: &[0],
+                select: &select,
+            };
+            assert!(
+                parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[1], &filter).is_err()
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,25 @@
-//! Differential suite for chunk-parallel query execution (ISSUE 5).
+//! Differential suite for chunk-parallel query execution.
 //!
 //! Every test runs the same workload through [`ExecMode::Serial`] (the
-//! row-at-a-time reference fold) and [`ExecMode::Parallel`] (columnar
-//! evaluation fanned out to the conversion worker pool, partials merged in
-//! ascending chunk order) and asserts identical answers — rows, grouping,
-//! and `rows_scanned`. Elapsed times are execution artifacts and are not
-//! compared. All data is integer-valued so float aggregates (AVG promotes
-//! to f64) are exact under any summation order below 2^53; determinism of
-//! the merge order itself is exercised separately by the repeated-run
-//! stress case.
+//! columnar kernels run inline on the querying thread) and
+//! [`ExecMode::Parallel`] (the same kernels fanned out to the conversion
+//! worker pool, partials merged in ascending chunk order) and asserts
+//! identical answers — rows, grouping, and `rows_scanned`. The seeded
+//! workloads and the SAM LIKE/group-by case also check a third, independent
+//! arm: the generated raw text parsed by `rawfile::parse::reference` and
+//! folded row by row by `engine::reference`. Elapsed times are execution
+//! artifacts and are not compared. All data is integer-valued so float
+//! aggregates (AVG promotes to f64) are exact under any summation order
+//! below 2^53; determinism of the merge order itself is exercised
+//! separately by the repeated-run stress case.
 
+use scanraw_repro::engine::predicate::CmpOp;
 use scanraw_repro::engine::query::ResultRow;
+use scanraw_repro::engine::reference;
 use scanraw_repro::prelude::*;
-use scanraw_repro::rawfile::generate::{stage_csv, CsvSpec};
+use scanraw_repro::rawfile::generate::{csv_bytes, stage_csv, CsvSpec};
+use scanraw_repro::rawfile::parse::reference::parse_rows;
+use scanraw_repro::types::Error;
 
 fn engine_for(disk: &SimDisk, cols: usize, config: ScanRawConfig, mode: ExecMode) -> Engine {
     let engine = Engine::new(Database::new(disk.clone()));
@@ -29,10 +36,23 @@ fn engine_for(disk: &SimDisk, cols: usize, config: ScanRawConfig, mode: ExecMode
     engine
 }
 
+/// Every row of `text`, parsed by the reference parser.
+fn reference_rows(text: &[u8], dialect: TextDialect, schema: &Schema) -> Vec<Vec<Value>> {
+    let text = std::str::from_utf8(text).expect("generated text is UTF-8");
+    let all: Vec<usize> = (0..schema.len()).collect();
+    parse_rows(text, dialect, schema, &all).expect("reference parse")
+}
+
+/// The row-wise oracle's answer to `query` over `rows`.
+fn reference_answer(rows: &[Vec<Value>], query: &Query) -> (Vec<ResultRow>, u64) {
+    reference::fold(query, rows.iter().map(Vec::as_slice)).expect("reference fold")
+}
+
 /// Runs each query through a fresh serial engine and a fresh parallel engine
-/// over twin instant disks staged with the same file, asserting identical
-/// rows and row counts query-by-query (and across the repeat, so cache/db
-/// delivery regimes are covered too).
+/// over twin instant disks staged with the same file, asserting rows and row
+/// counts identical to each other and to the row-wise reference,
+/// query-by-query (and across the repeat, so cache/db delivery regimes are
+/// covered too).
 fn assert_modes_agree(spec: &CsvSpec, cols: usize, config: &ScanRawConfig, queries: &[Query]) {
     let runs: Vec<Vec<(Vec<ResultRow>, u64)>> = [ExecMode::Serial, ExecMode::Parallel]
         .into_iter()
@@ -53,6 +73,18 @@ fn assert_modes_agree(spec: &CsvSpec, cols: usize, config: &ScanRawConfig, queri
         })
         .collect();
     assert_eq!(runs[0], runs[1], "serial and parallel answers diverged");
+    let rows = reference_rows(&csv_bytes(spec), TextDialect::CSV, &spec.schema());
+    let oracle: Vec<(Vec<ResultRow>, u64)> = queries
+        .iter()
+        .flat_map(|q| {
+            let answer = reference_answer(&rows, q);
+            [answer.clone(), answer]
+        })
+        .collect();
+    assert_eq!(
+        runs[0], oracle,
+        "engine answers diverged from the reference"
+    );
 }
 
 fn seeded_queries(cols: usize, seed: u64) -> Vec<Query> {
@@ -117,9 +149,90 @@ fn pushdown_agrees_across_modes() {
     assert_modes_agree(&spec, cols, &config, &[q]);
 }
 
+/// A push-down predicate that errors on some rows fails the query with the
+/// same typed error as the plan without push-down, in both modes: push-down
+/// keeps every row of a chunk its selection fails on, so the post-scan
+/// filter raises the error instead of rows silently disappearing.
+#[test]
+fn pushdown_eval_error_fails_like_the_plan_without_pushdown() {
+    let cols = 3;
+    let spec = CsvSpec::new(2_000, cols, 17);
+    let config = ScanRawConfig::default()
+        .with_chunk_rows(250)
+        .with_workers(2);
+    // `c0 * 2^33` overflows i64 exactly when c0 >= 2^30: about half the rows.
+    let overflowing = Predicate::Cmp(
+        Expr::Mul(Box::new(Expr::col(0)), Box::new(Expr::lit(1i64 << 33))),
+        CmpOp::Gt,
+        Expr::lit(0i64),
+    );
+    let plain = Query::sum_of_columns("t", 0..cols).with_filter(overflowing);
+    for mode in [ExecMode::Serial, ExecMode::Parallel] {
+        let errors: Vec<Error> = [plain.clone(), plain.clone().with_pushdown()]
+            .iter()
+            .map(|q| {
+                let disk = SimDisk::instant();
+                stage_csv(&disk, "t.csv", &spec);
+                let engine = engine_for(&disk, cols, config.clone(), mode);
+                engine.execute(q).expect_err("the predicate overflows")
+            })
+            .collect();
+        assert!(
+            matches!(&errors[0], Error::Query(m) if m.contains("integer overflow")),
+            "{mode:?}: {:?}",
+            errors[0]
+        );
+        assert_eq!(
+            errors[0], errors[1],
+            "{mode:?}: push-down changed the error"
+        );
+    }
+}
+
+/// A push-down predicate that errors on no row answers exactly like the
+/// plan without push-down (and the reference), in both modes.
+#[test]
+fn pushdown_without_eval_errors_matches_the_plan_without_pushdown() {
+    let cols = 4;
+    let spec = CsvSpec::new(3_000, cols, 29);
+    let config = ScanRawConfig::default()
+        .with_chunk_rows(400)
+        .with_workers(2);
+    // Exercises every combinator; `c0 * 2` cannot overflow on 31-bit data.
+    let filter = Predicate::And(
+        Box::new(Predicate::Or(
+            Box::new(Predicate::Cmp(
+                Expr::Mul(Box::new(Expr::col(0)), Box::new(Expr::lit(2i64))),
+                CmpOp::Lt,
+                Expr::lit(1i64 << 30),
+            )),
+            Box::new(Predicate::like(1, "%")),
+        )),
+        Box::new(Predicate::Not(Box::new(Predicate::Cmp(
+            Expr::col(2),
+            CmpOp::Ge,
+            Expr::lit(3i64 << 29),
+        )))),
+    );
+    let plain = Query {
+        table: "t".into(),
+        filter: Some(filter),
+        group_by: vec![],
+        aggregates: vec![AggExpr::count(), AggExpr::sum(Expr::col(3))],
+        pushdown: false,
+        projection: None,
+    };
+    assert_modes_agree(
+        &spec,
+        cols,
+        &config,
+        &[plain.clone(), plain.with_pushdown()],
+    );
+}
+
 #[test]
 fn parallel_group_by_with_like_predicate_agrees() {
-    use scanraw_repro::rawfile::sam::{field, sam_schema, stage_sam, SamSpec};
+    use scanraw_repro::rawfile::sam::{field, sam_bytes, sam_schema, stage_sam, SamSpec};
     let spec = SamSpec {
         reads: 4_000,
         seed: 9,
@@ -138,9 +251,11 @@ fn parallel_group_by_with_like_predicate_agrees() {
         projection: None,
     };
     let mut answers = Vec::new();
+    let mut text = Vec::new();
     for mode in [ExecMode::Serial, ExecMode::Parallel] {
         let disk = SimDisk::instant();
-        stage_sam(&disk, "r.sam", &spec);
+        let (reads, _) = stage_sam(&disk, "r.sam", &spec);
+        text = sam_bytes(&reads);
         let engine = Engine::new(Database::new(disk.clone()));
         engine.set_exec_mode(mode);
         engine
@@ -162,6 +277,8 @@ fn parallel_group_by_with_like_predicate_agrees() {
         answers.push((out.result.rows, out.result.rows_scanned));
     }
     assert_eq!(answers[0], answers[1]);
+    let rows = reference_rows(&text, TextDialect::TSV, &sam_schema());
+    assert_eq!(answers[0], reference_answer(&rows, &query));
 }
 
 /// Merge determinism under schedule stress: the same parallel query repeated

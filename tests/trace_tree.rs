@@ -6,7 +6,8 @@
 //! faithfully: each delivered chunk to exactly one `exec.chunk` span under
 //! the query, retries and database fallbacks as child spans rather than
 //! silent journal-only events. The invariants are checked across
-//! [`ExecMode::Serial`] vs [`ExecMode::Parallel`] and, with
+//! [`ExecMode::Serial`] (chunk tasks inline on the querying thread) vs
+//! [`ExecMode::Parallel`] (chunk tasks on the worker pool) and, with
 //! `--features fault-inject`, across 16 seeded fault schedules.
 
 use scanraw_repro::prelude::*;
@@ -74,7 +75,7 @@ fn assert_tree_shape(trace: &QueryTrace) {
 }
 
 /// Chunk attribution: every delivered chunk shows up in exactly one
-/// `exec.chunk` span (parallel mode), keyed by its `chunk` tag.
+/// `exec.chunk` span (in either mode), keyed by its `chunk` tag.
 fn assert_exec_attribution(trace: &QueryTrace, delivered: usize) {
     let mut seen = std::collections::HashSet::new();
     for span in trace.spans_named("exec.chunk") {
@@ -127,11 +128,12 @@ fn serial_and_parallel_traces_are_well_formed() {
                 (8..=9).contains(&reads),
                 "at most one EOF probe in mode {mode:?}/{workers}w, got {reads}"
             );
-            if mode == ExecMode::Parallel {
-                assert_exec_attribution(&cold_trace, cold.scan.chunks_delivered);
-                assert_exec_attribution(&warm_trace, warm.scan.chunks_delivered);
-                assert_eq!(warm_trace.spans_named("merge").count(), 1);
-            }
+            // Both modes fold through the same per-chunk tasks; the mode
+            // only picks where they run.
+            assert_exec_attribution(&cold_trace, cold.scan.chunks_delivered);
+            assert_exec_attribution(&warm_trace, warm.scan.chunks_delivered);
+            assert_eq!(cold_trace.spans_named("merge").count(), 1);
+            assert_eq!(warm_trace.spans_named("merge").count(), 1);
             // Speculative loading surfaced as write.chunk spans in the cold
             // tree (the safeguard flushes all 8 by scan end).
             assert_eq!(
@@ -150,7 +152,9 @@ fn serial_and_parallel_traces_are_well_formed() {
 fn traces_are_deterministic_on_the_virtual_clock() {
     // Same seed, same config → identical span trees (names, parents, tags,
     // and virtual timestamps), independent of host scheduling. Worker pool
-    // size 0 keeps conversion on one thread so even span *ordering* is fixed.
+    // size 0 keeps conversion on the READ thread and serial mode keeps
+    // execution on the querying thread, so each role's span sequence — and
+    // with per-role span ids, even span *ordering* — is fixed.
     let shape = |trace: &QueryTrace| -> Vec<(String, Option<u64>, u128)> {
         trace
             .spans
