@@ -26,8 +26,9 @@
 //!   safeguard (§4).
 //! * [`cache`] — the binary chunks cache: LRU biased toward evicting chunks
 //!   already loaded in the database (§3.1 "Caching").
-//! * [`profile`] — per-stage timing and worker-utilization tracking (the data
-//!   behind Figures 5 and 9).
+//! * [`profile`] — the stage timer: one guard per unit of stage work feeds
+//!   the `pipeline.stage.*` histograms and opens the stage's trace span (the
+//!   data behind Figure 5 and the resource advice of §3.3).
 //! * [`registry`] — one operator per raw file, shared by the execution engine
 //!   across query plans (§3.3 "Integration with a database").
 //!
@@ -57,7 +58,7 @@ pub use cache::{CacheCounters, ChunkCache};
 pub use operator::{
     ConvertScope, PushdownFilter, ResourceAdvice, ScanRaw, ScanRequest, ScanSummary,
 };
-pub use profile::{Profiler, Stage};
+pub use profile::{Stage, StageTimer};
 pub use registry::OperatorRegistry;
 pub use scanraw_types::{ScanRawConfig, WritePolicy};
 pub use scheduler::{ColumnHeat, SchedulerReport};

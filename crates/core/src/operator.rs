@@ -11,14 +11,14 @@
 //! through the TOKENIZE/PARSE pipeline.
 
 use crate::cache::ChunkCache;
-use crate::profile::{Profiler, Stage};
+use crate::profile::{Stage, StageTimer};
 use crate::retry::{with_retry, RetryPolicy, DB_FALLBACK_COUNTER};
 use crate::scheduler::{run_scheduler, ColumnHeat, Event, Writer};
 use crate::stream::{ChunkStream, ExecTask, ScanCounters, ScanState};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use scanraw_obs::trace::{self, worker_label, SpanCtx};
-use scanraw_obs::{Histogram, Obs, ObsEvent};
+use scanraw_obs::{Obs, ObsEvent};
 use scanraw_rawfile::chunker::{read_chunk_at, ChunkReader};
 use scanraw_rawfile::parse::{parse_chunk_filtered, RowFilter};
 use scanraw_rawfile::{parse_chunk_projected, tokenize_chunk_selective, TextDialect};
@@ -167,6 +167,16 @@ struct RawJob {
     cols_mapped: Option<usize>,
 }
 
+/// Span tags of a READ/DELIVER unit: the chunk and where it comes from.
+fn chunk_tags(id: ChunkId, source: &str) -> Vec<(&'static str, String)> {
+    vec![("chunk", id.0.to_string()), ("source", source.to_string())]
+}
+
+/// Span tags of a TOKENIZE/PARSE unit: the chunk and the worker running it.
+fn worker_tags(id: ChunkId) -> Vec<(&'static str, String)> {
+    vec![("chunk", id.0.to_string()), ("worker", worker_label())]
+}
+
 impl RawJob {
     fn plain(text: TextChunk) -> Self {
         RawJob {
@@ -182,13 +192,6 @@ impl RawJob {
 struct TokenizedChunk {
     job: RawJob,
     map: PositionalMap,
-}
-
-/// Per-worker stage histograms (`pipeline.worker.<w>.<stage>.nanos`).
-struct WorkerHists {
-    tokenize: Histogram,
-    parse: Histogram,
-    exec: Histogram,
 }
 
 /// Scan-wide conversion parameters shared by READ and the workers.
@@ -212,7 +215,7 @@ pub struct ScanRaw {
     config: ScanRawConfig,
     db: Database,
     cache: ChunkCache,
-    profiler: Profiler,
+    stages: Arc<StageTimer>,
     obs: Obs,
     writer: Arc<Writer>,
     /// Per-column query-history heat: every scan registers its effective
@@ -280,7 +283,6 @@ impl ScanRaw {
         } else {
             None
         };
-        let profiler = Profiler::new();
         // Journal timestamps follow the device clock so events line up with
         // simulated I/O; metrics are clock-agnostic.
         let obs_clock = db.disk().clock().clone();
@@ -289,7 +291,7 @@ impl ScanRaw {
             Arc::new(move || obs_clock.now()),
         );
         cache.attach_obs(&obs);
-        profiler.attach_obs(&obs);
+        let stages = Arc::new(StageTimer::new(&obs, db.disk().clock().clone()));
         // The device mirrors its accounting into the first registry attached;
         // with several operators over one database that is the oldest one.
         db.disk().attach_obs(&obs.metrics);
@@ -300,7 +302,7 @@ impl ScanRaw {
             db.clone(),
             table.clone(),
             cache.clone(),
-            profiler.clone(),
+            stages.clone(),
             obs.clone(),
             RetryPolicy {
                 budget: config.io_retry_budget,
@@ -316,7 +318,7 @@ impl ScanRaw {
             config,
             db,
             cache,
-            profiler,
+            stages,
             obs,
             writer,
             heat: Arc::new(ColumnHeat::new()),
@@ -343,12 +345,14 @@ impl ScanRaw {
         &self.cache
     }
 
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// The stage timer behind the `pipeline.stage.*` histograms; the engine
+    /// times EXEC with it.
+    pub fn stages(&self) -> &Arc<StageTimer> {
+        &self.stages
     }
 
     /// The operator's observability handle: metrics registry plus event
-    /// journal, shared by the cache, profiler, scheduler, and every scan.
+    /// journal, shared by the cache, stage timer, scheduler, and every scan.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -377,9 +381,9 @@ impl ScanRaw {
     /// compares per-worker conversion wall time against device time and
     /// suggests acquiring or releasing workers (paper §3.3).
     pub fn resource_advice(&self) -> ResourceAdvice {
-        use crate::profile::Stage;
-        let cpu = self.profiler.total(Stage::Tokenize) + self.profiler.total(Stage::Parse);
-        let io = self.profiler.total(Stage::Read) + self.profiler.total(Stage::Write);
+        let total = |s| self.stages.total(s);
+        let cpu = total(Stage::Tokenize) + total(Stage::Parse);
+        let io = total(Stage::Read) + total(Stage::Write);
         if cpu.is_zero() || io.is_zero() {
             return ResourceAdvice::Unknown;
         }
@@ -631,7 +635,6 @@ impl ScanRaw {
                 .name(format!("scanraw-worker-{}-{w}", self.table))
                 .spawn(move || {
                     op.worker_loop(
-                        w,
                         text_rx,
                         pos_rx,
                         pos_tx,
@@ -784,7 +787,6 @@ impl ScanRaw {
         params: &Arc<ScanParams>,
         writer: Arc<Writer>,
     ) -> Result<()> {
-        let clock = self.db.disk().clock().clone();
         // Pin the scan span as this thread's ambient context: every
         // read.chunk / retry / db.fallback / disk span below lands under it.
         let _ambient = params.trace.map(trace::set_current);
@@ -795,19 +797,15 @@ impl ScanRaw {
             if stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            let _span = self.obs.trace.enter_current(
-                "read.chunk",
-                vec![
-                    ("chunk", meta.id.0.to_string()),
-                    ("source", "cache".to_string()),
-                ],
-            );
-            let t0 = clock.now();
-            match self.cache.get(meta.id) {
+            let cached = {
+                let _stage = self
+                    .stages
+                    .enter(Stage::Deliver, chunk_tags(meta.id, "cache"));
+                self.cache.get(meta.id)
+            };
+            match cached {
                 Some(chunk) => {
                     counters.from_cache.fetch_add(1, Ordering::Release);
-                    let t1 = clock.now();
-                    self.profiler.record(Stage::Deliver, t1 - t0, t0, t1);
                     if out.send(Ok(chunk)).is_err() {
                         // relaxed-ok: advisory stop flag — readers need eventual visibility only
                         stop.store(true, Ordering::Relaxed);
@@ -819,11 +817,11 @@ impl ScanRaw {
                     // database when it holds every converted column (planning
                     // never checked the catalog for this chunk), else to the
                     // raw file.
-                    if let Some(chunk) = self
-                        .retry_load_from_db(meta, &params.convert_cols)
-                        .ok()
-                        .filter(|c| c.covers(&params.convert_cols))
-                    {
+                    let loaded = {
+                        let _stage = self.stages.enter(Stage::Read, chunk_tags(meta.id, "db"));
+                        self.retry_load_from_db(meta, &params.convert_cols)
+                    };
+                    if let Some(chunk) = loaded.ok().filter(|c| c.covers(&params.convert_cols)) {
                         counters.from_db.fetch_add(1, Ordering::Release);
                         if out.send(Ok(Arc::new(chunk))).is_err() {
                             // relaxed-ok: advisory stop flag — readers need eventual visibility only
@@ -861,25 +859,21 @@ impl ScanRaw {
             if stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            let _span = self.obs.trace.enter_current(
-                "read.chunk",
-                vec![
-                    ("chunk", meta.id.0.to_string()),
-                    ("source", "db".to_string()),
-                ],
-            );
-            let t0 = clock.now();
-            let loaded = self.retry_load_from_db(meta, &params.convert_cols);
-            let t1 = clock.now();
-            self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            let chunk = match loaded {
-                Ok(c) => c,
-                Err(_) => {
+            let loaded = {
+                let _stage = self.stages.enter(Stage::Read, chunk_tags(meta.id, "db"));
+                let loaded = self.retry_load_from_db(meta, &params.convert_cols);
+                if loaded.is_err() {
                     // The database copy is unreadable even after retries
                     // (permanent fault or persistent corruption): answer
                     // from the raw file instead — a loading failure must
                     // never fail the query.
                     self.note_db_fallback(meta.id);
+                }
+                loaded
+            };
+            let chunk = match loaded {
+                Ok(c) => c,
+                Err(_) => {
                     self.feed_raw_chunk(
                         meta,
                         &text_tx,
@@ -916,23 +910,22 @@ impl ScanRaw {
             if stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            let _span = self.obs.trace.enter_current(
-                "read.chunk",
-                vec![
-                    ("chunk", meta.id.0.to_string()),
-                    ("source", "hybrid".to_string()),
-                ],
-            );
-            let t0 = clock.now();
-            let loaded = self.db.loaded_columns(&self.table, meta.id, &needed)?;
-            let base = self.io_retry(&format!("db/{}", self.table), || {
-                self.db.load_chunk(&self.table, meta.id, &loaded)
-            });
-            let text = self.io_retry(&self.raw_file, || {
-                read_chunk_at(self.db.disk(), &self.raw_file, meta)
-            })?;
-            let t1 = clock.now();
-            self.profiler.record(Stage::Read, t1 - t0, t0, t1);
+            let (loaded, base, text) = {
+                let _stage = self
+                    .stages
+                    .enter(Stage::Read, chunk_tags(meta.id, "hybrid"));
+                let loaded = self.db.loaded_columns(&self.table, meta.id, &needed)?;
+                let base = self.io_retry(&format!("db/{}", self.table), || {
+                    self.db.load_chunk(&self.table, meta.id, &loaded)
+                });
+                let text = self.io_retry(&self.raw_file, || {
+                    read_chunk_at(self.db.disk(), &self.raw_file, meta)
+                })?;
+                if base.is_err() {
+                    self.note_db_fallback(meta.id);
+                }
+                (loaded, base, text)
+            };
             counters.hybrid.fetch_add(1, Ordering::Release);
             self.obs.metrics.counter("scanraw.cols.hybrid_chunks").inc();
             let job = match base {
@@ -950,12 +943,9 @@ impl ScanRaw {
                         cols_mapped: Some(cols_mapped),
                     }
                 }
-                Err(_) => {
-                    // The loaded columns are unreadable: convert the whole
-                    // chunk from the raw text just read.
-                    self.note_db_fallback(meta.id);
-                    RawJob::plain(text)
-                }
+                // The loaded columns are unreadable: convert the whole chunk
+                // from the raw text just read.
+                Err(_) => RawJob::plain(text),
             };
             if !self.dispatch_raw_job(
                 job,
@@ -989,23 +979,20 @@ impl ScanRaw {
                 // Streaming discovers the chunk id only after the read, so
                 // the span opens with the source tag alone and is attributed
                 // to its chunk below. (The final iteration reads to discover
-                // EOF, leaving one untagged probe span per cold scan.)
-                let span = self
-                    .obs
-                    .trace
-                    .enter_current("read.chunk", vec![("source", "raw".to_string())]);
-                let t0 = clock.now();
-                // Retry-safe: a failed read does not advance the reader's
-                // fetch position, so the re-issued read covers the same span.
-                let chunk = self.io_retry(&self.raw_file, || reader.next_chunk())?;
-                let t1 = clock.now();
+                // EOF: one untagged, timed probe READ per cold scan.)
+                let chunk = {
+                    let stage = self
+                        .stages
+                        .enter(Stage::Read, vec![("source", "raw".to_string())]);
+                    // Retry-safe: a failed read does not advance the reader's
+                    // fetch position, so the re-issued read covers the same span.
+                    let chunk = self.io_retry(&self.raw_file, || reader.next_chunk())?;
+                    if let Some(chunk) = &chunk {
+                        stage.tag("chunk", chunk.id.0.to_string());
+                    }
+                    chunk
+                };
                 let Some(chunk) = chunk else { break };
-                if let Some(span) = &span {
-                    self.obs
-                        .trace
-                        .add_tag(span.ctx().span, "chunk", chunk.id.0.to_string());
-                }
-                self.profiler.record(Stage::Read, t1 - t0, t0, t1);
                 self.db.catalog().observe_chunk(
                     &self.table,
                     ChunkMeta {
@@ -1069,22 +1056,11 @@ impl ScanRaw {
         in_pipeline: &Arc<AtomicUsize>,
         params: &Arc<ScanParams>,
     ) -> Result<()> {
-        let clock = self.db.disk().clock().clone();
-        let _span = self.obs.trace.enter_current(
-            "read.chunk",
-            vec![
-                ("chunk", meta.id.0.to_string()),
-                ("source", "raw".to_string()),
-            ],
-        );
         let chunk = {
-            let t0 = clock.now();
-            let c = self.io_retry(&self.raw_file, || {
+            let _stage = self.stages.enter(Stage::Read, chunk_tags(meta.id, "raw"));
+            self.io_retry(&self.raw_file, || {
                 read_chunk_at(self.db.disk(), &self.raw_file, meta)
-            })?;
-            let t1 = clock.now();
-            self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            c
+            })?
         };
         self.dispatch_raw_job(
             RawJob::plain(chunk),
@@ -1200,24 +1176,10 @@ impl ScanRaw {
                 }
             }
         }
-        // CPU stages are timed in wall-clock (the device clock may be
-        // virtual, under which CPU work is instantaneous); span endpoints
-        // stay on the device clock for utilization timelines.
-        let _span = self.obs.trace.enter_current(
-            "tokenize.chunk",
-            vec![
-                ("chunk", chunk.id.0.to_string()),
-                ("worker", worker_label()),
-            ],
-        );
-        let clock = self.db.disk().clock().clone();
-        let t0 = clock.now();
-        // effect-ok: CPU-time stat for the profiler side channel, never in scan output
-        let w0 = std::time::Instant::now();
-        let map = tokenize_chunk_selective(chunk, self.dialect, self.schema.len(), cols_mapped)?;
-        let elapsed = w0.elapsed();
-        let t1 = clock.now();
-        self.profiler.record(Stage::Tokenize, elapsed, t0, t1);
+        let map = {
+            let _stage = self.stages.enter(Stage::Tokenize, worker_tags(chunk.id));
+            tokenize_chunk_selective(chunk, self.dialect, self.schema.len(), cols_mapped)?
+        };
         if let Some(cache) = &self.map_cache {
             cache.lock().insert(chunk.id, map.clone());
         }
@@ -1238,17 +1200,7 @@ impl ScanRaw {
             Some(c) => c,
             None => &params.convert_cols,
         };
-        let _span = self.obs.trace.enter_current(
-            "parse.chunk",
-            vec![
-                ("chunk", chunk.id.0.to_string()),
-                ("worker", worker_label()),
-            ],
-        );
-        let clock = self.db.disk().clock().clone();
-        let t0 = clock.now();
-        // effect-ok: CPU-time stat for the profiler side channel, never in scan output
-        let w0 = std::time::Instant::now();
+        let _stage = self.stages.enter(Stage::Parse, worker_tags(chunk.id));
         let (mut bin, filtered) = match &params.pushdown {
             Some(pd) => {
                 let filter = RowFilter {
@@ -1293,9 +1245,6 @@ impl ScanRaw {
                 }
             }
         }
-        let elapsed = w0.elapsed();
-        let t1 = clock.now();
-        self.profiler.record(Stage::Parse, elapsed, t0, t1);
         if !filtered {
             // Statistics from a filtered subset would under-approximate the
             // chunk's true bounds and corrupt chunk skipping — skip them.
@@ -1363,7 +1312,6 @@ impl ScanRaw {
     #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         self: &Arc<Self>,
-        w: usize,
         text_rx: Receiver<RawJob>,
         pos_rx: Receiver<TokenizedChunk>,
         pos_tx: Sender<TokenizedChunk>,
@@ -1379,23 +1327,6 @@ impl ScanRaw {
         // they trigger) attach under it. Engine EXEC tasks carry their own
         // explicit context and override this for their duration.
         let _ambient = params.trace.map(trace::set_current);
-        // Per-worker stage histograms: wall time the worker spent in each
-        // stage *including* hand-off back-pressure, so pool imbalance is
-        // visible even when the pure per-chunk compute times are uniform.
-        let hists = WorkerHists {
-            tokenize: self
-                .obs
-                .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.tokenize.nanos")),
-            parse: self
-                .obs
-                .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.parse.nanos")),
-            exec: self
-                .obs
-                .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.exec.nanos")),
-        };
         // Phase 1 — conversion: dynamic TOKENIZE/PARSE assignment, with
         // consumer EXEC tasks served first so chunk-parallel queries overlap
         // aggregation with conversion of later chunks.
@@ -1409,27 +1340,21 @@ impl ScanRaw {
             // extended one stage downstream.
             match exec_rx.try_recv() {
                 Ok(task) => {
-                    self.run_exec(task, &hists.exec);
+                    task();
                     continue;
                 }
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => {}
             }
             match pos_rx.try_recv() {
                 Ok(job) => {
-                    // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                    let t = std::time::Instant::now();
                     self.do_parse(job, &out, &events, &stop, &in_pipeline, params);
-                    hists.parse.observe_duration(t.elapsed());
                     continue;
                 }
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => {}
             }
             match text_rx.try_recv() {
                 Ok(job) => {
-                    // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                    let t = std::time::Instant::now();
                     self.do_tokenize(job, &pos_tx, &out, &stop, &in_pipeline, params);
-                    hists.tokenize.observe_duration(t.elapsed());
                     continue;
                 }
                 Err(TryRecvError::Empty) => {
@@ -1437,12 +1362,7 @@ impl ScanRaw {
                     // (the only conversion channel guaranteed to stay
                     // connected).
                     match pos_rx.recv_timeout(Duration::from_micros(200)) {
-                        Ok(job) => {
-                            // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                            let t = std::time::Instant::now();
-                            self.do_parse(job, &out, &events, &stop, &in_pipeline, params);
-                            hists.parse.observe_duration(t.elapsed());
-                        }
+                        Ok(job) => self.do_parse(job, &out, &events, &stop, &in_pipeline, params),
                         Err(RecvTimeoutError::Timeout) => {}
                         Err(RecvTimeoutError::Disconnected) => break,
                     }
@@ -1451,12 +1371,7 @@ impl ScanRaw {
                     // READ is done; drain the position buffer until the
                     // pipeline is empty.
                     match pos_rx.recv_timeout(Duration::from_micros(200)) {
-                        Ok(job) => {
-                            // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                            let t = std::time::Instant::now();
-                            self.do_parse(job, &out, &events, &stop, &in_pipeline, params);
-                            hists.parse.observe_duration(t.elapsed());
-                        }
+                        Ok(job) => self.do_parse(job, &out, &events, &stop, &in_pipeline, params),
                         Err(RecvTimeoutError::Timeout) => {
                             if in_pipeline.load(Ordering::Acquire) == 0 {
                                 break;
@@ -1483,25 +1398,11 @@ impl ScanRaw {
                 return;
             }
             match exec_rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(task) => self.run_exec(task, &hists.exec),
+                Ok(task) => task(),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
         }
-    }
-
-    /// Runs one consumer-execution task, recording EXEC stage time (the
-    /// device clock may be virtual, so compute is timed in wall-clock).
-    fn run_exec(&self, task: ExecTask, hist: &Histogram) {
-        let clock = self.db.disk().clock().clone();
-        let t0 = clock.now();
-        // effect-ok: CPU-time stat for the profiler side channel, never in scan output
-        let w0 = std::time::Instant::now();
-        task();
-        let elapsed = w0.elapsed();
-        let t1 = clock.now();
-        self.profiler.record(Stage::Exec, elapsed, t0, t1);
-        hist.observe_duration(elapsed);
     }
 
     fn do_tokenize(

@@ -23,7 +23,7 @@
 //! chunks from disk has to be delayed until flushing the cache" rule of §4.
 
 use crate::cache::{ChunkCache, Evicted};
-use crate::profile::{Profiler, Stage};
+use crate::profile::{Stage, StageTimer};
 use crate::retry::{with_retry, RetryPolicy, DEGRADED_COUNTER};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use scanraw_obs::{EventJournal, Obs, ObsEvent, SpanCtx, WriteCause};
@@ -170,7 +170,7 @@ impl Writer {
         db: Database,
         table: String,
         cache: ChunkCache,
-        profiler: Profiler,
+        stages: Arc<StageTimer>,
         obs: Obs,
         retry: RetryPolicy,
     ) -> scanraw_types::Result<Self> {
@@ -195,26 +195,24 @@ impl Writer {
                                 notify,
                                 trace,
                             } => {
-                                // The span covers the store including retries,
-                                // so IO retry spans nest under `write.chunk`.
-                                let _span = trace.map(|ctx| {
-                                    obs.trace.enter(
-                                        ctx,
-                                        "write.chunk",
-                                        vec![("chunk", chunk.id.0.to_string())],
-                                    )
-                                });
-                                let t0 = clock.now();
                                 // A failed store is fatal for loading but must
                                 // not kill the pipeline: the cells simply stay
                                 // unloaded and will be converted again next scan.
                                 // Retries are safe — already-committed cells
                                 // are skipped by the store's idempotence guard.
-                                let res = with_retry(&retry, &clock, &obs, &db_target, || {
-                                    db.store_chunk_cols(&table, &chunk, &cols).map(|_| ())
-                                });
-                                let t1 = clock.now();
-                                profiler.record(Stage::Write, t1 - t0, t0, t1);
+                                let res = {
+                                    // The stage covers the store including
+                                    // retries, so IO retry spans nest under
+                                    // `write.chunk`.
+                                    let _stage = stages.enter_under(
+                                        trace,
+                                        Stage::Write,
+                                        vec![("chunk", chunk.id.0.to_string())],
+                                    );
+                                    with_retry(&retry, &clock, &obs, &db_target, || {
+                                        db.store_chunk_cols(&table, &chunk, &cols).map(|_| ())
+                                    })
+                                };
                                 match res {
                                     Ok(()) => {
                                         // Every requested present cell is now
@@ -643,7 +641,7 @@ mod tests {
             db.clone(),
             "t".to_string(),
             cache.clone(),
-            Profiler::new(),
+            Arc::new(StageTimer::new(&obs, db.disk().clock().clone())),
             obs,
             RetryPolicy {
                 budget,

@@ -1,5 +1,5 @@
 //! Tests of the optional operator features: positional-map caching,
-//! resource advice, and profiler-driven introspection.
+//! resource advice, and stage-histogram introspection.
 
 use scanraw::profile::Stage;
 use scanraw::{ResourceAdvice, ScanRaw, ScanRequest};
@@ -54,17 +54,17 @@ fn positional_map_cache_skips_repeat_tokenizing() {
     let expected = expected_column_sums(&spec);
 
     assert_eq!(full_scan(&op), expected);
-    let tokenized_first = op.profiler().chunks(Stage::Tokenize);
+    let tokenized_first = op.stages().snapshot(Stage::Tokenize).count;
     assert_eq!(tokenized_first, 8, "first scan tokenizes every chunk");
 
     assert_eq!(full_scan(&op), expected, "results stay correct from maps");
-    let tokenized_second = op.profiler().chunks(Stage::Tokenize);
+    let tokenized_second = op.stages().snapshot(Stage::Tokenize).count;
     assert_eq!(
         tokenized_second, tokenized_first,
         "second scan reuses cached positional maps (no new TOKENIZE work)"
     );
     // Parsing still happened for the re-read chunks.
-    assert!(op.profiler().chunks(Stage::Parse) > 8);
+    assert!(op.stages().snapshot(Stage::Parse).count > 8);
 }
 
 #[test]
@@ -76,9 +76,9 @@ fn without_map_cache_repeat_scans_retokenize() {
         .with_policy(WritePolicy::ExternalTables);
     let (op, _) = operator(cfg, SimDisk::instant());
     full_scan(&op);
-    let first = op.profiler().chunks(Stage::Tokenize);
+    let first = op.stages().snapshot(Stage::Tokenize).count;
     full_scan(&op);
-    assert!(op.profiler().chunks(Stage::Tokenize) > first);
+    assert!(op.stages().snapshot(Stage::Tokenize).count > first);
 }
 
 fn throttled(read_bw: u64) -> SimDisk {

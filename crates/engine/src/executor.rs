@@ -88,7 +88,8 @@ pub struct AnalyzeReport {
     pub outcome: QueryOutcome,
     /// Actual total time per pipeline stage during this query, in
     /// [`Stage::ALL`] order (READ, TOKENIZE, PARSE, WRITE, DELIVER, EXEC —
-    /// the last being consumer-side parallel query execution).
+    /// the last being consumer-side query execution, pooled or inline): the
+    /// `sum` of this query's window of each stage histogram.
     pub stage_durations: Vec<(&'static str, Duration)>,
     /// Per-chunk latency percentiles `[p50, p95, p99]` in nanoseconds for
     /// each stage, over this query's window of the stage histograms (same
@@ -583,15 +584,9 @@ impl Engine {
         let op = self.operator(&query.table)?;
         let explain = self.explain(query)?;
 
-        let stage_before: Vec<Duration> =
-            Stage::ALL.iter().map(|&s| op.profiler().total(s)).collect();
-        let hist_names: Vec<String> = Stage::ALL
+        let stage_before: Vec<HistogramSnapshot> = Stage::ALL
             .iter()
-            .map(|s| format!("pipeline.stage.{}.nanos", s.name().to_lowercase()))
-            .collect();
-        let hist_before: Vec<Option<HistogramSnapshot>> = hist_names
-            .iter()
-            .map(|n| op.obs().metrics.histogram_snapshot(n))
+            .map(|&s| op.stages().snapshot(s))
             .collect();
         let cache_before = op.cache().counters();
         let journal_since = op.obs().journal.total_recorded();
@@ -601,29 +596,17 @@ impl Engine {
         // journal and write counters cover everything this query caused.
         op.drain_writes();
 
-        let stage_durations: Vec<(&'static str, Duration)> = Stage::ALL
+        // This query's window of each stage histogram: its `sum` is the
+        // stage duration, its buckets interpolate per-chunk percentiles.
+        let (stage_durations, stage_percentiles): (Vec<_>, Vec<_>) = Stage::ALL
             .iter()
             .zip(&stage_before)
-            .map(|(&s, &before)| (s.name(), op.profiler().total(s).saturating_sub(before)))
-            .collect();
-        // Per-chunk latency percentiles for this query's window: diff each
-        // stage histogram against its pre-query snapshot, then interpolate.
-        let stage_percentiles: Vec<(&'static str, [u64; 3])> = Stage::ALL
-            .iter()
-            .zip(&hist_names)
-            .zip(&hist_before)
-            .map(|((&s, name), before)| {
-                let window = match (op.obs().metrics.histogram_snapshot(name), before) {
-                    (Some(after), Some(before)) => Some(after.saturating_diff(before)),
-                    (Some(after), None) => Some(after),
-                    (None, _) => None,
-                };
-                let p = window.map_or([0, 0, 0], |w| {
-                    [w.quantile(0.50), w.quantile(0.95), w.quantile(0.99)]
-                });
-                (s.name(), p)
+            .map(|(&s, before)| {
+                let w = op.stages().snapshot(s).saturating_diff(before);
+                let p = [w.quantile(0.50), w.quantile(0.95), w.quantile(0.99)];
+                ((s.name(), Duration::from_nanos(w.sum)), (s.name(), p))
             })
-            .collect();
+            .unzip();
         let query_latency_percentiles = op
             .obs()
             .metrics
@@ -822,6 +805,7 @@ impl Engine {
         // captured here and passed into each closure explicitly.
         let query_ctx = scanraw_obs::trace::current();
         let recorder = op.obs().trace.clone();
+        let stages = op.stages();
         let parallel_ctr = op.obs().metrics.counter("scanraw.exec.parallel_chunks");
         let skipped_ctr = op.obs().metrics.counter("scanraw.exec.skipped_chunks");
         let table = op.table();
@@ -850,22 +834,24 @@ impl Engine {
             let specs = specs.to_vec();
             let tx = res_tx.clone();
             let id = chunk.id.0;
-            let task_recorder = recorder.clone();
+            let stages = stages.clone();
             let task: ExecTask = Box::new(move || {
-                let _span = query_ctx.map(|ctx| {
-                    task_recorder.enter(
-                        ctx,
-                        "exec.chunk",
+                // The stage ends before the send, so EXEC is recorded by the
+                // time the engine has every partial.
+                let out = {
+                    let _stage = stages.enter_under(
+                        query_ctx,
+                        Stage::Exec,
                         vec![("chunk", id.to_string()), ("worker", worker_label())],
-                    )
-                });
-                let out = specs
-                    .iter()
-                    .map(|s| {
-                        let mut st = AggState::new(s.clone());
-                        st.consume_chunk(&chunk).map(|()| st)
-                    })
-                    .collect::<Result<Vec<_>>>();
+                    );
+                    specs
+                        .iter()
+                        .map(|s| {
+                            let mut st = AggState::new(s.clone());
+                            st.consume_chunk(&chunk).map(|()| st)
+                        })
+                        .collect::<Result<Vec<_>>>()
+                };
                 // Receiver gone only when the engine already bailed out.
                 let _ = tx.send((id, out));
             });

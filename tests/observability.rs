@@ -31,56 +31,90 @@ fn engine_with_table(policy: WritePolicy, cache_chunks: usize) -> (SimDisk, Engi
 
 #[test]
 fn explain_analyze_reports_sources_across_cold_and_warm_runs() {
-    let (_disk, engine) = engine_with_table(WritePolicy::speculative(), 32);
-    let q = Query::sum_of_columns("t", 0..4);
+    for mode in [ExecMode::Serial, ExecMode::Parallel] {
+        let (_disk, engine) = engine_with_table(WritePolicy::speculative(), 32);
+        engine.set_exec_mode(mode);
+        let op = engine.operator("t").unwrap();
+        let exec_count = || {
+            op.obs()
+                .metrics
+                .histogram_snapshot("pipeline.stage.exec.nanos")
+                .unwrap()
+                .count
+        };
+        let q = Query::sum_of_columns("t", 0..4);
 
-    // Cold run: everything converts from the raw file (8 chunks of 500 rows).
-    let cold = engine.explain_analyze(&q).unwrap();
-    assert_eq!(cold.outcome.scan.from_raw, 8);
-    assert_eq!(cold.outcome.scan.from_cache, 0);
-    assert_eq!(cold.outcome.result.rows_scanned, 4_000);
-    // The pipeline stages actually ran and were timed.
-    let stage = |name: &str| {
-        cold.stage_durations
+        // Cold run: everything converts from the raw file (8 chunks of 500 rows).
+        let exec_before = exec_count();
+        let cold = engine.explain_analyze(&q).unwrap();
+        assert_eq!(cold.outcome.scan.from_raw, 8);
+        assert_eq!(cold.outcome.scan.from_cache, 0);
+        assert_eq!(cold.outcome.result.rows_scanned, 4_000);
+        // The pipeline stages actually ran and were timed — EXEC too, in
+        // both modes: each delivered chunk is one timed EXEC unit.
+        let stage = |report: &AnalyzeReport, name: &str| {
+            report
+                .stage_durations
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, d)| *d)
+                .unwrap()
+        };
+        for name in ["TOKENIZE", "PARSE", "EXEC"] {
+            assert!(
+                !stage(&cold, name).is_zero(),
+                "{mode:?}: {:?}",
+                cold.stage_durations
+            );
+        }
+        assert_eq!(
+            exec_count() - exec_before,
+            cold.outcome.scan.chunks_delivered as u64,
+            "{mode:?}: one EXEC observation per delivered chunk"
+        );
+        // Journal bracketed the query.
+        assert!(cold
+            .events
             .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, d)| *d)
-            .unwrap()
-    };
-    assert!(!stage("TOKENIZE").is_zero(), "{:?}", cold.stage_durations);
-    assert!(!stage("PARSE").is_zero(), "{:?}", cold.stage_durations);
-    // Journal bracketed the query.
-    assert!(cold
-        .events
-        .iter()
-        .any(|e| matches!(e.event, ObsEvent::QueryStart { .. })));
-    assert!(cold
-        .events
-        .iter()
-        .any(|e| matches!(e.event, ObsEvent::QueryEnd { .. })));
+            .any(|e| matches!(e.event, ObsEvent::QueryStart { .. })));
+        assert!(cold
+            .events
+            .iter()
+            .any(|e| matches!(e.event, ObsEvent::QueryEnd { .. })));
 
-    // Warm run: every chunk fits in the cache, so the re-run is served from
-    // it — and the plan predicted that.
-    let warm = engine.explain_analyze(&q).unwrap();
-    assert_eq!(warm.explain.expect_from_cache, 8);
-    assert_eq!(warm.outcome.scan.from_cache, 8);
-    assert_eq!(warm.outcome.scan.from_raw, 0);
-    assert_eq!(warm.cache_hit_rate, Some(1.0));
-    // Chunk delivery is counted under DELIVER, not READ (its *duration* is
-    // virtual-clock time, which does not advance for cache hits).
-    let op = engine.operator("t").unwrap();
-    let deliver = op
-        .obs()
-        .metrics
-        .histogram_snapshot("pipeline.stage.deliver.nanos")
-        .unwrap();
-    assert_eq!(deliver.count, 8);
+        // Warm run: every chunk fits in the cache, so the re-run is served from
+        // it — and the plan predicted that.
+        let exec_before = exec_count();
+        let warm = engine.explain_analyze(&q).unwrap();
+        assert_eq!(warm.explain.expect_from_cache, 8);
+        assert_eq!(warm.outcome.scan.from_cache, 8);
+        assert_eq!(warm.outcome.scan.from_raw, 0);
+        assert_eq!(warm.cache_hit_rate, Some(1.0));
+        assert!(
+            !stage(&warm, "EXEC").is_zero(),
+            "{mode:?}: {:?}",
+            warm.stage_durations
+        );
+        assert_eq!(
+            exec_count() - exec_before,
+            warm.outcome.scan.chunks_delivered as u64,
+            "{mode:?}: one EXEC observation per delivered chunk"
+        );
+        // Chunk delivery is counted under DELIVER, not READ (its *duration* is
+        // virtual-clock time, which does not advance for cache hits).
+        let deliver = op
+            .obs()
+            .metrics
+            .histogram_snapshot("pipeline.stage.deliver.nanos")
+            .unwrap();
+        assert_eq!(deliver.count, 8);
 
-    // The JSON export is parseable and carries the source breakdown.
-    let doc = warm.to_json();
-    let parsed = scanraw_repro::obs::json::parse(&doc.to_json()).unwrap();
-    assert_eq!(parsed["actual_sources"]["cache"].as_u64(), Some(8));
-    assert_eq!(parsed["cache_hit_rate"].as_f64(), Some(1.0));
+        // The JSON export is parseable and carries the source breakdown.
+        let doc = warm.to_json();
+        let parsed = scanraw_repro::obs::json::parse(&doc.to_json()).unwrap();
+        assert_eq!(parsed["actual_sources"]["cache"].as_u64(), Some(8));
+        assert_eq!(parsed["cache_hit_rate"].as_f64(), Some(1.0));
+    }
 }
 
 #[test]
@@ -136,7 +170,7 @@ fn registry_counts_cache_and_disk_activity() {
     // The device mirrored its accounting into the same registry.
     assert!(metrics.counter_value("disk.read.bytes").unwrap() > 0);
     assert_eq!(metrics.gauge_value("disk.queue.depth"), Some(0));
-    // Stage histograms were fed by the profiler.
+    // Stage histograms were fed by the stage timer.
     let parse = metrics
         .histogram_snapshot("pipeline.stage.parse.nanos")
         .unwrap();

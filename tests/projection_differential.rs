@@ -208,7 +208,7 @@ mod faults {
     #[test]
     fn faulted_projection_sweep_stays_oracle_identical_across_16_schedules() {
         for seed in 0..16u64 {
-            let spec = CsvSpec::new(ROWS, COLS, seed.wrapping_mul(0x51_7c_c1b7));
+            let spec = CsvSpec::new(ROWS, COLS, seed.wrapping_mul(0x517c_c1b7));
             let mut rng = Rng::new(seed ^ 0xdead_beef);
             let queries: Vec<Query> = (0..QUERIES_PER_SEED)
                 .map(|_| seeded_query(&mut rng))

@@ -96,6 +96,46 @@ fn assert_exec_attribution(trace: &QueryTrace, delivered: usize) {
     );
 }
 
+/// Observation counts of the operator's `pipeline.stage.<stage>.nanos`
+/// histograms, by stage name.
+fn stage_counts(session: &Session) -> std::collections::HashMap<&'static str, u64> {
+    let op = session.engine().operator("t").unwrap();
+    ["read", "tokenize", "parse", "write", "deliver", "exec"]
+        .into_iter()
+        .map(|stage| {
+            let name = format!("pipeline.stage.{stage}.nanos");
+            (
+                stage,
+                op.obs().metrics.histogram_snapshot(&name).unwrap().count,
+            )
+        })
+        .collect()
+}
+
+/// One recording point: every timed unit of stage work opened its span and
+/// every stage span was timed, so over one traced query each stage
+/// histogram's count delta equals its span count.
+fn assert_spans_match_stage_counts(
+    trace: &QueryTrace,
+    before: &std::collections::HashMap<&'static str, u64>,
+    after: &std::collections::HashMap<&'static str, u64>,
+    what: &str,
+) {
+    let delta = |stage: &str| after[stage] - before[stage];
+    let spans = |name: &str| trace.spans_named(name).count() as u64;
+    assert_eq!(spans("tokenize.chunk"), delta("tokenize"), "{what}");
+    assert_eq!(spans("parse.chunk"), delta("parse"), "{what}");
+    assert_eq!(spans("exec.chunk"), delta("exec"), "{what}");
+    assert_eq!(spans("write.chunk"), delta("write"), "{what}");
+    // READ and DELIVER share `read.chunk`; the streaming EOF probe is a
+    // timed READ like any other.
+    assert_eq!(
+        spans("read.chunk"),
+        delta("read") + delta("deliver"),
+        "{what}"
+    );
+}
+
 #[test]
 fn serial_and_parallel_traces_are_well_formed() {
     for mode in [ExecMode::Serial, ExecMode::Parallel] {
@@ -103,16 +143,24 @@ fn serial_and_parallel_traces_are_well_formed() {
             let session = session_on(staged_disk(7), mode, workers);
             let q = Query::sum_of_columns("t", 0..COLS);
             // Cold then warm: conversion-heavy and cache-served trees.
+            // A traced run drains its writes, so the histograms are settled
+            // when it returns.
+            let counts_0 = stage_counts(&session);
             let (cold, cold_trace) = session
                 .run(ExecRequest::query(q.clone()).traced())
                 .unwrap()
                 .into_traced_single();
             assert_tree_shape(&cold_trace);
+            let counts_1 = stage_counts(&session);
             let (warm, warm_trace) = session
                 .run(ExecRequest::query(q.clone()).traced())
                 .unwrap()
                 .into_traced_single();
             assert_tree_shape(&warm_trace);
+            let counts_2 = stage_counts(&session);
+            let what = |run: &str| format!("{run} run in mode {mode:?}/{workers}w");
+            assert_spans_match_stage_counts(&cold_trace, &counts_0, &counts_1, &what("cold"));
+            assert_spans_match_stage_counts(&warm_trace, &counts_1, &counts_2, &what("warm"));
             assert_eq!(cold.result.rows, warm.result.rows);
 
             // The pipeline's per-chunk work is all attributed: 8 chunk-tagged
