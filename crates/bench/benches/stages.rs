@@ -2,19 +2,26 @@
 //!
 //! These are the per-stage numbers behind Figure 5 and the calibration of
 //! the cost model: TOKENIZE (full and selective), PARSE (full and
-//! projected), the chunker, the LZSS codec of the BAM-sim container, and
-//! the chunk cache.
+//! projected), the chunker, the LZSS codec of the BAM-sim container, the
+//! chunk cache, and the storage codec — CRC-32 over 1 MiB plus
+//! `store_chunk`/`load_chunk` of one default-size chunk (16,384 rows of 12
+//! integers, or 16,384 SAM reads) on an instant device, so the numbers are
+//! the codec's CPU cost alone. `cargo bench --bench stages -- --test` runs
+//! each benchmark once as a smoke test.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use scanraw::ChunkCache;
+use scanraw_engine::bamscan::map_reads;
 use scanraw_rawfile::bamsim::lzss;
 use scanraw_rawfile::chunker::ChunkReader;
 use scanraw_rawfile::generate::{csv_bytes, CsvSpec};
+use scanraw_rawfile::sam::{generate_reads, sam_schema, SamSpec};
 use scanraw_rawfile::{
     parse_chunk, parse_chunk_projected, tokenize_chunk, tokenize_chunk_selective, TextDialect,
 };
 use scanraw_simio::SimDisk;
-use scanraw_types::{BinaryChunk, ChunkId, Schema, TextChunk};
+use scanraw_storage::{crc32, ColumnStore};
+use scanraw_types::{BinaryChunk, ChunkId, ColumnData, Schema, TextChunk};
 use std::sync::Arc;
 
 const ROWS: u64 = 1 << 12;
@@ -109,7 +116,7 @@ fn bench_cache(c: &mut Criterion) {
             |cache| {
                 for i in 0..1024u32 {
                     let mut chunk = BinaryChunk::empty(ChunkId(i), 0, 1, 1);
-                    chunk.columns[0] = Some(scanraw_types::ColumnData::Int64(vec![i as i64]));
+                    chunk.columns[0] = Some(ColumnData::Int64(vec![i as i64]));
                     let loaded: &[usize] = if i % 3 == 0 { &[0] } else { &[] };
                     cache.insert(Arc::new(chunk), loaded);
                 }
@@ -121,9 +128,67 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
+/// Rows of one stored chunk: the operator's default chunk size.
+const STORE_ROWS: usize = 16 * 1024;
+
+fn int_chunk() -> (BinaryChunk, Schema) {
+    let cols = 12;
+    let columns = (0..cols)
+        .map(|c| {
+            let v = (0..STORE_ROWS as i64).map(|r| r * 7919 + c).collect();
+            Some(ColumnData::Int64(v))
+        })
+        .collect();
+    let chunk = BinaryChunk {
+        id: ChunkId(0),
+        first_row: 0,
+        rows: STORE_ROWS as u32,
+        columns,
+    };
+    (chunk, Schema::uniform_ints(cols as usize))
+}
+
+fn sam_chunk() -> (BinaryChunk, Schema) {
+    let reads = generate_reads(&SamSpec {
+        reads: STORE_ROWS as u64,
+        ..Default::default()
+    });
+    (map_reads(&reads, ChunkId(0), 0), sam_schema())
+}
+
+fn bench_storage(c: &mut Criterion) {
+    let data: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 24) as u8)
+        .collect();
+    let mut g = c.benchmark_group("storage");
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("crc32_1mib", |b| b.iter(|| crc32(black_box(&data))));
+    for (name, (chunk, schema)) in [("int12", int_chunk()), ("sam", sam_chunk())] {
+        g.throughput(Throughput::Bytes(chunk.size_bytes() as u64));
+        g.bench_function(&format!("store_chunk_{name}"), |b| {
+            b.iter_batched(
+                || ColumnStore::new(SimDisk::instant()),
+                |store| store.store_chunk("t", &chunk).expect("ok"),
+                BatchSize::SmallInput,
+            )
+        });
+        let store = ColumnStore::new(SimDisk::instant());
+        store.store_chunk("t", &chunk).expect("ok");
+        let cols: Vec<usize> = (0..schema.len()).collect();
+        g.bench_function(&format!("load_chunk_{name}"), |b| {
+            b.iter(|| {
+                store
+                    .load_chunk("t", &schema, ChunkId(0), 0, &cols)
+                    .expect("ok")
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = stages;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_tokenize, bench_parse, bench_chunker, bench_lzss, bench_cache
+    targets = bench_tokenize, bench_parse, bench_chunker, bench_lzss, bench_cache, bench_storage
 }
 criterion_main!(stages);

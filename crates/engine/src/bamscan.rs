@@ -13,7 +13,7 @@ use crate::query::{Query, QueryResult};
 use scanraw_rawfile::bamsim::BamReader;
 use scanraw_rawfile::sam::{sam_schema, SamRead};
 use scanraw_simio::SimDisk;
-use scanraw_types::{BinaryChunk, ChunkId, ColumnData, Result};
+use scanraw_types::{BinaryChunk, ChunkId, ColumnData, Result, Utf8Column};
 
 /// Rows per MAP batch.
 pub const MAP_BATCH: usize = 16 * 1024;
@@ -21,29 +21,29 @@ pub const MAP_BATCH: usize = 16 * 1024;
 /// MAP: organizes a batch of reader records into the columnar processing
 /// representation (the only conversion stage on the BAM path).
 pub fn map_reads(batch: &[SamRead], id: ChunkId, first_row: u64) -> BinaryChunk {
-    let mut qname = Vec::with_capacity(batch.len());
+    let mut qname = Utf8Column::with_capacity(batch.len());
     let mut flag = Vec::with_capacity(batch.len());
-    let mut rname = Vec::with_capacity(batch.len());
+    let mut rname = Utf8Column::with_capacity(batch.len());
     let mut pos = Vec::with_capacity(batch.len());
     let mut mapq = Vec::with_capacity(batch.len());
-    let mut cigar = Vec::with_capacity(batch.len());
-    let mut rnext = Vec::with_capacity(batch.len());
+    let mut cigar = Utf8Column::with_capacity(batch.len());
+    let mut rnext = Utf8Column::with_capacity(batch.len());
     let mut pnext = Vec::with_capacity(batch.len());
     let mut tlen = Vec::with_capacity(batch.len());
-    let mut seq = Vec::with_capacity(batch.len());
-    let mut qual = Vec::with_capacity(batch.len());
+    let mut seq = Utf8Column::with_capacity(batch.len());
+    let mut qual = Utf8Column::with_capacity(batch.len());
     for r in batch {
-        qname.push(r.qname.clone());
+        qname.push(&r.qname);
         flag.push(r.flag);
-        rname.push(r.rname.clone());
+        rname.push(&r.rname);
         pos.push(r.pos);
         mapq.push(r.mapq);
-        cigar.push(r.cigar.clone());
-        rnext.push(r.rnext.clone());
+        cigar.push(&r.cigar);
+        rnext.push(&r.rnext);
         pnext.push(r.pnext);
         tlen.push(r.tlen);
-        seq.push(r.seq.clone());
-        qual.push(r.qual.clone());
+        seq.push(&r.seq);
+        qual.push(&r.qual);
     }
     BinaryChunk {
         id,

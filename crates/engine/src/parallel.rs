@@ -22,7 +22,7 @@ use crate::aggregate::{Accumulator, AggExpr};
 use crate::expr::Expr;
 use crate::predicate::{CmpOp, Predicate};
 use crate::query::{Query, ResultRow};
-use scanraw_types::{BinaryChunk, ColumnData, Error, Result, Value};
+use scanraw_types::{BinaryChunk, ColumnData, Error, Result, Utf8Column, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -89,7 +89,7 @@ enum ColVec<'a> {
     /// Borrowed column slice — only valid when the selection is `Sel::All`.
     IntSlice(&'a [i64]),
     FloatSlice(&'a [f64]),
-    StrSlice(&'a [String]),
+    StrSlice(&'a Utf8Column),
     /// Gathered / computed per selected row.
     Ints(Vec<i64>),
     Floats(Vec<f64>),
@@ -148,7 +148,7 @@ impl ColVec<'_> {
 
     fn str_at(&self, i: usize) -> &str {
         match self {
-            ColVec::StrSlice(s) => &s[i],
+            ColVec::StrSlice(s) => s.get(i),
             ColVec::Strs(v) => v[i],
             ColVec::ConstStr(x) => x,
             _ => unreachable!("str_at on non-string column"),
@@ -189,7 +189,7 @@ fn eval_columnar<'a>(expr: &'a Expr, chunk: &'a BinaryChunk, sel: &Sel) -> Resul
                     ColVec::Floats(rows.iter().map(|&r| v[r as usize]).collect())
                 }
                 (ColumnData::Utf8(v), Sel::Rows(rows)) => {
-                    ColVec::Strs(rows.iter().map(|&r| v[r as usize].as_str()).collect())
+                    ColVec::Strs(rows.iter().map(|&r| v.get(r as usize)).collect())
                 }
             })
         }
@@ -684,9 +684,7 @@ pub(crate) mod tests {
             columns: vec![
                 Some(ColumnData::Int64(ints)),
                 Some(ColumnData::Float64(floats)),
-                Some(ColumnData::Utf8(
-                    strs.into_iter().map(String::from).collect(),
-                )),
+                Some(ColumnData::Utf8(strs.into_iter().collect())),
             ],
         }
     }

@@ -207,11 +207,9 @@ mod tests {
             rows: 3,
             columns: vec![
                 Some(ColumnData::Int64(vec![5, 10, 15])),
-                Some(ColumnData::Utf8(vec![
-                    "100M".into(),
-                    "50M2I48M".into(),
-                    "10S90M".into(),
-                ])),
+                Some(ColumnData::Utf8(
+                    ["100M", "50M2I48M", "10S90M"].into_iter().collect(),
+                )),
             ],
         }
     }

@@ -18,7 +18,8 @@
 
 use crate::dialect::TextDialect;
 use scanraw_types::{
-    BinaryChunk, ColumnData, DataType, Error, PositionalMap, Result, Schema, TextChunk, Value,
+    BinaryChunk, ColumnData, DataType, Error, PositionalMap, Result, Schema, TextChunk, Utf8Column,
+    Value,
 };
 
 /// Push-down selection: a predicate over a set of columns evaluated during
@@ -178,11 +179,7 @@ fn gather(col: ColumnData, rows: &[u32]) -> ColumnData {
         ColumnData::Float64(v) => {
             ColumnData::Float64(rows.iter().map(|&r| v[r as usize]).collect())
         }
-        ColumnData::Utf8(mut v) => ColumnData::Utf8(
-            rows.iter()
-                .map(|&r| std::mem::take(&mut v[r as usize]))
-                .collect(),
-        ),
+        ColumnData::Utf8(v) => ColumnData::Utf8(rows.iter().map(|&r| v.get(r as usize)).collect()),
     }
 }
 
@@ -260,7 +257,7 @@ fn locate_row(
 enum ColumnBuilder {
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    Utf8(Vec<String>),
+    Utf8(Utf8Column),
 }
 
 impl ColumnBuilder {
@@ -268,7 +265,7 @@ impl ColumnBuilder {
         match dt {
             DataType::Int64 => ColumnBuilder::Int64(Vec::with_capacity(capacity)),
             DataType::Float64 => ColumnBuilder::Float64(Vec::with_capacity(capacity)),
-            DataType::Utf8 => ColumnBuilder::Utf8(Vec::with_capacity(capacity)),
+            DataType::Utf8 => ColumnBuilder::Utf8(Utf8Column::with_capacity(capacity)),
         }
     }
 
@@ -334,14 +331,12 @@ fn parse_f64(bytes: &[u8], line: u64, column: usize) -> Result<f64> {
     })
 }
 
-fn parse_str(bytes: &[u8], line: u64, column: usize) -> Result<String> {
-    std::str::from_utf8(bytes)
-        .map(|s| s.to_string())
-        .map_err(|_| Error::Parse {
-            line,
-            column,
-            message: "invalid utf-8 in string".into(),
-        })
+fn parse_str(bytes: &[u8], line: u64, column: usize) -> Result<&str> {
+    std::str::from_utf8(bytes).map_err(|_| Error::Parse {
+        line,
+        column,
+        message: "invalid utf-8 in string".into(),
+    })
 }
 
 /// Reference row-wise implementation used by tests and property checks: split
@@ -504,7 +499,7 @@ mod tests {
         let b = parse_chunk(&c, &m, TextDialect::CSV, &schema).unwrap();
         assert_eq!(
             b.column(0).unwrap(),
-            &ColumnData::Utf8(vec!["alice".into(), "bob".into()])
+            &ColumnData::Utf8(["alice", "bob"].into_iter().collect())
         );
         assert_eq!(b.column(1).unwrap(), &ColumnData::Float64(vec![1.5, -0.25]));
         assert_eq!(ints(&b, 2), vec![3, 4]);
@@ -578,7 +573,7 @@ mod tests {
             parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[0, 1, 2], &filter).unwrap();
         assert_eq!(b.rows, 0);
         assert_eq!(b.column(0), Some(&ColumnData::Int64(vec![])));
-        assert_eq!(b.column(1), Some(&ColumnData::Utf8(vec![])));
+        assert_eq!(b.column(1), Some(&ColumnData::Utf8(Utf8Column::default())));
         assert_eq!(b.column(2), Some(&ColumnData::Float64(vec![])));
         b.validate(&schema).unwrap();
     }

@@ -24,7 +24,9 @@
 use crate::checksum::crc32;
 use parking_lot::RwLock;
 use scanraw_simio::SimDisk;
-use scanraw_types::{BinaryChunk, ChunkId, ColumnData, DataType, Error, Result, Schema};
+use scanraw_types::{
+    BinaryChunk, ChunkId, ColumnData, DataType, Error, Result, Schema, Utf8Column,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -376,7 +378,9 @@ fn parse_commit_record(line: &str) -> Option<(usize, ChunkId, u64, u64, u32, u32
     Some((col, id, offset, len, rows, crc))
 }
 
-/// Flat little-endian encoding; strings are `u32` length + bytes.
+/// Flat little-endian encoding. A string run is `rows` `u32` end offsets
+/// followed by the values' bytes end to end — the in-memory
+/// [`Utf8Column`](scanraw_types::Utf8Column) minus its leading 0.
 fn encode_column(data: &ColumnData) -> Vec<u8> {
     match data {
         ColumnData::Int64(v) => {
@@ -394,66 +398,44 @@ fn encode_column(data: &ColumnData) -> Vec<u8> {
             out
         }
         ColumnData::Utf8(v) => {
-            let mut out = Vec::with_capacity(v.iter().map(|s| 4 + s.len()).sum());
-            for s in v {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+            let mut out = Vec::with_capacity(data.size_bytes());
+            for end in v.ends() {
+                out.extend_from_slice(&end.to_le_bytes());
             }
+            out.extend_from_slice(v.bytes());
             out
         }
     }
 }
 
+/// Decodes a stored run. Every malformation — wrong length, offsets that
+/// decrease or overrun the byte block, an offset inside a character,
+/// invalid UTF-8 — is an [`Error::Storage`], never a panic.
 fn decode_column(bytes: &[u8], dt: DataType, rows: u32) -> Result<ColumnData> {
     let rows = rows as usize;
     match dt {
-        DataType::Int64 => {
-            if bytes.len() != rows * 8 {
-                return Err(Error::storage("int64 run length mismatch"));
+        DataType::Int64 | DataType::Float64 => {
+            let (words, rest) = bytes.as_chunks::<8>();
+            if words.len() != rows || !rest.is_empty() {
+                return Err(Error::storage(format!(
+                    "{} run of {} bytes does not hold {rows} rows",
+                    dt.name(),
+                    bytes.len()
+                )));
             }
-            Ok(ColumnData::Int64(
-                bytes
-                    .chunks_exact(8)
-                    // lint-ok: L013 chunks_exact(8) yields exactly 8 bytes
-                    .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            ))
-        }
-        DataType::Float64 => {
-            if bytes.len() != rows * 8 {
-                return Err(Error::storage("float64 run length mismatch"));
-            }
-            Ok(ColumnData::Float64(
-                bytes
-                    .chunks_exact(8)
-                    // lint-ok: L013 chunks_exact(8) yields exactly 8 bytes
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            ))
+            Ok(if dt == DataType::Int64 {
+                ColumnData::Int64(words.iter().map(|w| i64::from_le_bytes(*w)).collect())
+            } else {
+                ColumnData::Float64(words.iter().map(|w| f64::from_le_bytes(*w)).collect())
+            })
         }
         DataType::Utf8 => {
-            let mut v = Vec::with_capacity(rows);
-            let mut pos = 0usize;
-            for _ in 0..rows {
-                let len_bytes = bytes
-                    .get(pos..pos + 4)
-                    .ok_or_else(|| Error::storage("truncated string run"))?;
-                // lint-ok: L013 the `get(pos..pos + 4)` above pinned the length
-                let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-                pos += 4;
-                let s = bytes
-                    .get(pos..pos + len)
-                    .ok_or_else(|| Error::storage("truncated string payload"))?;
-                pos += len;
-                v.push(
-                    String::from_utf8(s.to_vec())
-                        .map_err(|_| Error::storage("invalid utf-8 in stored column"))?,
-                );
-            }
-            if pos != bytes.len() {
-                return Err(Error::storage("trailing bytes in string run"));
-            }
-            Ok(ColumnData::Utf8(v))
+            let (ends, block) = bytes
+                .split_at_checked(rows * 4)
+                .ok_or_else(|| Error::storage("string run shorter than its offsets"))?;
+            let (ends, _) = ends.as_chunks::<4>();
+            let ends = ends.iter().map(|e| u32::from_le_bytes(*e));
+            Utf8Column::from_parts(ends, block.to_vec()).map(ColumnData::Utf8)
         }
     }
 }
@@ -470,7 +452,7 @@ mod tests {
             rows: 3,
             columns: vec![
                 Some(ColumnData::Int64(vec![1 + id as i64, 2, 3])),
-                Some(ColumnData::Utf8(vec!["a".into(), "bb".into(), "".into()])),
+                Some(ColumnData::Utf8(["a", "bb", ""].into_iter().collect())),
                 None,
             ],
         }
@@ -701,6 +683,68 @@ mod tests {
         assert!(parse_commit_record("v1 0 3 128 64 8 123456 extra").is_none());
         assert!(parse_commit_record("v1 x 3 128 64 8 123456").is_none());
         assert!(parse_commit_record("").is_none());
+    }
+
+    /// A hand-built string run: `ends` as little-endian `u32`s, then `block`.
+    fn string_run(ends: &[u32], block: &[u8]) -> Vec<u8> {
+        let mut run: Vec<u8> = ends.iter().flat_map(|e| e.to_le_bytes()).collect();
+        run.extend_from_slice(block);
+        run
+    }
+
+    #[test]
+    fn hostile_string_runs_fail_typed() {
+        let cases = [
+            ("non-monotone offsets", string_run(&[3, 1], b"abc"), 2),
+            (
+                "last offset short of the block",
+                string_run(&[1, 2], b"abc"),
+                2,
+            ),
+            ("last offset past the block", string_run(&[1, 9], b"abc"), 2),
+            (
+                "offset inside a multi-byte char",
+                string_run(&[1, 2], "é".as_bytes()),
+                2,
+            ),
+            ("invalid utf-8", string_run(&[2], &[0xff, 0xfe]), 1),
+            ("run shorter than its offsets", string_run(&[1, 2], b""), 3),
+        ];
+        for (what, run, rows) in cases {
+            match decode_column(&run, DataType::Utf8, rows) {
+                Err(Error::Storage(_)) => {}
+                other => panic!("{what}: expected a storage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn string_runs_roundtrip_seeded() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0057);
+        let alphabet = ['a', 'Z', '0', ' ', 'é', '🧬', '\u{0}'];
+        for _ in 0..200 {
+            let rows = rng.gen_range(0usize..=40);
+            let values: Vec<String> = (0..rows)
+                .map(|_| match rng.gen_range(0u8..4) {
+                    0 => String::new(),
+                    1 => "é🧬".repeat(rng.gen_range(1usize..=3)),
+                    _ => {
+                        let len = rng.gen_range(0usize..=300);
+                        let mut s = String::new();
+                        while s.len() < len {
+                            s.push(alphabet[rng.gen_range(0..alphabet.len())]);
+                        }
+                        s
+                    }
+                })
+                .collect();
+            let col = ColumnData::Utf8(values.into());
+            let run = encode_column(&col);
+            assert_eq!(run.len(), col.size_bytes(), "stored size is size_bytes");
+            let back = decode_column(&run, DataType::Utf8, rows as u32).unwrap();
+            assert_eq!(back, col);
+        }
     }
 
     #[test]

@@ -137,6 +137,136 @@ impl PositionalMap {
     }
 }
 
+/// A string column held in one buffer: the values laid end to end in one
+/// `String`, with row `i` at bytes `offsets[i]..offsets[i + 1]`.
+///
+/// This is the array layout of paper §3.1 for variable-width values: one
+/// allocation per column rather than one per cell, and the database run of
+/// a string column stores exactly these end offsets and bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Utf8Column {
+    /// `rows + 1` entries: starts at 0, never decreases, ends at
+    /// `data.len()`, and every entry is a char boundary of `data`.
+    offsets: Vec<u32>,
+    data: String,
+}
+
+impl Default for Utf8Column {
+    fn default() -> Self {
+        Utf8Column::with_capacity(0)
+    }
+}
+
+impl Utf8Column {
+    /// An empty column with room for `rows` offsets.
+    pub fn with_capacity(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Utf8Column {
+            offsets,
+            data: String::new(),
+        }
+    }
+
+    /// Reassembles a column from the parts [`ends`](Utf8Column::ends) and
+    /// [`bytes`](Utf8Column::bytes) return, as read back from the database.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::Storage`] when the end offsets decrease, the last
+    /// one is not the block length, or one falls inside a multi-byte
+    /// character, or when the block is not UTF-8.
+    pub fn from_parts(ends: impl IntoIterator<Item = u32>, data: Vec<u8>) -> Result<Self> {
+        let ends = ends.into_iter();
+        let mut offsets = Vec::with_capacity(ends.size_hint().0 + 1);
+        offsets.push(0);
+        offsets.extend(ends);
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(Error::storage("string offsets decrease"));
+        }
+        if offsets.last().map(|&o| o as usize) != Some(data.len()) {
+            return Err(Error::storage(
+                "last string offset does not match the byte block",
+            ));
+        }
+        let data = String::from_utf8(data)
+            .map_err(|_| Error::storage("invalid utf-8 in string column"))?;
+        if !offsets.iter().all(|&o| data.is_char_boundary(o as usize)) {
+            return Err(Error::storage(
+                "string offset inside a multi-byte character",
+            ));
+        }
+        Ok(Utf8Column { offsets, data })
+    }
+
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The value at `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row >= self.len()`, like slice indexing.
+    pub fn get(&self, row: usize) -> &str {
+        &self.data[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.data[w[0] as usize..w[1] as usize])
+    }
+
+    /// Appends one value.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the column would exceed `u32::MAX` bytes, the reach of
+    /// its offsets (a text chunk is itself addressed by `u32` offsets).
+    pub fn push(&mut self, s: &str) {
+        let end = self.data.len() + s.len();
+        assert!(
+            end <= u32::MAX as usize,
+            "string column exceeds u32 offsets"
+        );
+        self.data.push_str(s);
+        self.offsets.push(end as u32);
+    }
+
+    /// End offset of every row (`len()` entries, the first row's start
+    /// being 0).
+    pub fn ends(&self) -> &[u32] {
+        &self.offsets[1..]
+    }
+
+    /// All values, end to end.
+    pub fn bytes(&self) -> &[u8] {
+        self.data.as_bytes()
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for Utf8Column {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut col = Utf8Column::with_capacity(iter.size_hint().0);
+        for s in iter {
+            col.push(s.as_ref());
+        }
+        col
+    }
+}
+
+impl From<Vec<String>> for Utf8Column {
+    fn from(values: Vec<String>) -> Self {
+        values.iter().collect()
+    }
+}
+
 /// Column values of one chunk in the binary processing representation.
 ///
 /// "In binary format, tuples are vertically partitioned along columns
@@ -145,7 +275,7 @@ impl PositionalMap {
 pub enum ColumnData {
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    Utf8(Vec<String>),
+    Utf8(Utf8Column),
 }
 
 impl ColumnData {
@@ -174,7 +304,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => v.get(row).map(|&x| Value::Int(x)),
             ColumnData::Float64(v) => v.get(row).map(|&x| Value::Float(x)),
-            ColumnData::Utf8(v) => v.get(row).map(|x| Value::Str(x.clone())),
+            ColumnData::Utf8(v) => (row < v.len()).then(|| Value::from(v.get(row))),
         }
     }
 
@@ -183,7 +313,7 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => v.len() * 8,
             ColumnData::Float64(v) => v.len() * 8,
-            ColumnData::Utf8(v) => v.iter().map(|s| 4 + s.len()).sum(),
+            ColumnData::Utf8(v) => 4 * v.len() + v.bytes().len(),
         }
     }
 
@@ -212,7 +342,7 @@ impl ColumnData {
             ColumnData::Utf8(v) => {
                 let min = v.iter().min()?;
                 let max = v.iter().max()?;
-                Some((Value::Str(min.clone()), Value::Str(max.clone())))
+                Some((Value::from(min), Value::from(max)))
             }
         }
     }
@@ -354,7 +484,7 @@ mod tests {
         assert_eq!(c.min_max(), Some((Value::Int(-1), Value::Int(9))));
         let e = ColumnData::Int64(vec![]);
         assert_eq!(e.min_max(), None);
-        let s = ColumnData::Utf8(vec!["b".into(), "a".into()]);
+        let s = ColumnData::Utf8(["b", "a"].into_iter().collect());
         assert_eq!(s.min_max(), Some((Value::from("a"), Value::from("b"))));
     }
 
@@ -362,7 +492,7 @@ mod tests {
     fn column_size_accounting() {
         assert_eq!(ColumnData::Int64(vec![1, 2]).size_bytes(), 16);
         assert_eq!(
-            ColumnData::Utf8(vec!["ab".into(), "c".into()]).size_bytes(),
+            ColumnData::Utf8(["ab", "c"].into_iter().collect()).size_bytes(),
             4 + 2 + 4 + 1
         );
     }
@@ -386,7 +516,7 @@ mod tests {
         assert!(wrong_rows.validate(&schema).is_err());
 
         let mut wrong_type = sample_chunk();
-        wrong_type.columns[0] = Some(ColumnData::Utf8(vec!["x".into(); 3]));
+        wrong_type.columns[0] = Some(ColumnData::Utf8(vec!["x".to_string(); 3].into()));
         assert!(wrong_type.validate(&schema).is_err());
 
         let narrow = Schema::uniform_ints(2);

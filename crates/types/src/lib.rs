@@ -20,7 +20,7 @@ pub mod predicate;
 pub mod schema;
 pub mod value;
 
-pub use chunk::{BinaryChunk, ChunkId, ColumnData, PositionalMap, TextChunk};
+pub use chunk::{BinaryChunk, ChunkId, ColumnData, PositionalMap, TextChunk, Utf8Column};
 pub use config::{ScanRawConfig, WritePolicy};
 pub use error::{Error, IoError, IoErrorKind, Result};
 pub use layout::{ChunkLayout, ChunkMeta};

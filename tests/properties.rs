@@ -253,7 +253,7 @@ fn colstore_roundtrip() {
             rows: rows as u32,
             columns: vec![
                 Some(ColumnData::Int64(ints[..rows].to_vec())),
-                Some(ColumnData::Utf8(strs[..rows].to_vec())),
+                Some(ColumnData::Utf8(strs[..rows].iter().collect())),
             ],
         };
         let schema = Schema::new(vec![
